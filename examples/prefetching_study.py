@@ -13,27 +13,17 @@ Run time: a few seconds.
 
 import argparse
 
-from repro import (
-    ClusterEmulator,
-    JacobiApp,
-    build_model,
-    config_hy1,
-    config_io,
-    spectrum,
-)
+from repro import JacobiApp, config_hy1, config_io, run_spectrum
 from repro.util.tables import render_table
 
 
 def sweep(cluster, program):
-    """(label, actual, predicted) per spectrum point."""
-    model = build_model(cluster, program)
-    emulator = ClusterEmulator(cluster, program)
-    out = []
-    for point in spectrum(cluster, program, steps_per_leg=2):
-        actual = emulator.run(point.distribution).total_seconds
-        predicted = model.predict_seconds(point.distribution)
-        out.append((point.label, actual, predicted))
-    return out
+    """(label, actual, predicted) per spectrum point; emulated runs go
+    through the process-wide RunCache."""
+    run = run_spectrum(cluster, program, steps_per_leg=2)
+    return [
+        (p.label, p.actual_seconds, p.predicted_seconds) for p in run.points
+    ]
 
 
 def main() -> None:

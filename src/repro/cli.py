@@ -26,6 +26,8 @@ Every command takes ``--scale`` (default 0.1: seconds of wall time;
 ``--scale 1.0`` is paper scale).  ``sweep``, ``predict``, ``search``,
 ``adaptive`` and ``stats`` take ``--telemetry {text,json,csv}`` to dump
 the run's :class:`repro.obs.Recorder` after the normal output.
+``sweep``, ``accuracy``, ``verify`` and ``serve`` take ``--cache PATH``,
+a persistent :class:`repro.parallel.RunCache` of emulated runs.
 """
 
 from __future__ import annotations
@@ -157,8 +159,9 @@ def _add_jobs(parser: argparse.ArgumentParser, cache: bool = False) -> None:
     if cache:
         parser.add_argument(
             "--cache", default=None, metavar="PATH",
-            help="on-disk memoisation cache for (actual, predicted) "
-            "pairs; repeated invocations skip redundant emulation",
+            help="persistent on-disk run cache (merge-on-save, atomic "
+            "writes, shareable by concurrent processes); repeated "
+            "invocations skip redundant emulation",
         )
 
 
@@ -187,11 +190,26 @@ def _render_telemetry(rec: Optional[Recorder], args) -> str:
     return rec.describe()
 
 
-def _sweep_cache(args):
-    from repro.parallel import SweepCache
+def _run_cache(args):
+    """The ``--cache PATH`` run cache, or ``None`` (process default)."""
+    from repro.parallel import RunCache
 
-    path = getattr(args, "cache", None)
-    return SweepCache(path) if path is not None else None
+    return RunCache(path=args.cache) if args.cache else None
+
+
+def _save_run_cache(store) -> None:
+    """Persist a ``--cache`` store and summarise it on stderr (stdout
+    stays identical with and without the cache)."""
+    if store is None:
+        return
+    store.save()
+    stats = store.stats
+    print(
+        f"run cache {store.path}: {stats['hits']} hits, "
+        f"{stats['misses']} misses, {stats['size']} runs "
+        f"({stats['loaded_from_disk']} loaded from disk)",
+        file=sys.stderr,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,13 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         "population in one pass; results are identical either way)",
     )
     p.add_argument("--prefetch", action="store_true")
-    p.add_argument(
-        "--run-cache", default=None, metavar="PATH",
-        help="persistent on-disk RunCache tier (merge-on-save, atomic "
-        "writes); repeated invocations skip redundant emulation",
-    )
     _add_common(p)
-    _add_jobs(p)
+    _add_jobs(p, cache=True)
     _add_telemetry(p)
 
     p = sub.add_parser("adaptive", help="the Section-6 adaptive runtime")
@@ -417,20 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="resident (app, config, scale, kernel) models kept warm",
     )
     p.add_argument(
-        "--sweep-cache", default=None, metavar="PATH",
-        help="on-disk (actual, predicted) tier shared by a fleet of "
-        "server processes (merge-on-save, atomic writes)",
-    )
-    p.add_argument(
-        "--run-cache", default=None, metavar="PATH",
-        help="on-disk RunCache tier for the raw emulation results "
-        "behind verify queries (same merge-on-save discipline)",
-    )
-    p.add_argument(
         "--max-requests", type=int, default=None, metavar="N",
         help="exit after handling N requests (smoke tests / CI)",
     )
-    _add_jobs(p)
+    _add_jobs(p, cache=True)
     _add_kernel(p)
     _add_telemetry(p)
     p.add_argument(
@@ -488,18 +491,17 @@ def _add_endpoint(parser: argparse.ArgumentParser) -> None:
 def _cmd_sweep(args) -> str:
     cluster = _cluster(args.config)
     program = _program(args.app, args.scale, args.prefetch)
-    cache = _sweep_cache(args)
+    store = _run_cache(args)
     rec = _telemetry_recorder(args)
     run = run_spectrum(
         cluster,
         program,
         steps_per_leg=args.steps,
         jobs=args.jobs,
-        cache=cache,
+        run_cache=store,
         telemetry=rec,
     )
-    if cache is not None:
-        cache.save()
+    _save_run_cache(store)
     from repro.util.tables import render_table
 
     rows = [
@@ -933,11 +935,7 @@ def _cmd_verify(args) -> str:
     if not dists:
         raise SystemExit("no distributions to verify")
 
-    store = None
-    if args.run_cache:
-        from repro.parallel.cache import RunCache
-
-        store = RunCache(path=args.run_cache)
+    store = _run_cache(args)
     rec = _telemetry_recorder(args)
 
     if args.jobs != 1:
@@ -960,8 +958,7 @@ def _cmd_verify(args) -> str:
                 flags.append(
                     "  (fast-forwarded)" if result.fast_forwarded else ""
                 )
-    if store is not None:
-        store.save()
+    _save_run_cache(store)
 
     width = max(len(label) for label in labels)
     lines = [
@@ -988,22 +985,13 @@ def _cmd_serve(args) -> str:
     from repro.serve import ServeCoordinator
 
     rec = Recorder()
-    from repro.parallel import SweepCache
-
-    cache = SweepCache(args.sweep_cache) if args.sweep_cache else None
-    run_cache = None
-    if getattr(args, "run_cache", None):
-        from repro.parallel.cache import RunCache
-
-        run_cache = RunCache(path=args.run_cache)
     coordinator = ServeCoordinator(
         kernel=args.kernel,
         window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         batch_mode=args.batch_mode,
         jobs=args.jobs,
-        sweep_cache=cache,
-        run_cache=run_cache,
+        run_cache=_run_cache(args),
         model_cache_entries=args.model_cache,
         telemetry=rec,
     )
@@ -1124,16 +1112,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "adaptive":
         print(_cmd_adaptive(args))
     elif args.command == "accuracy":
-        cache = _sweep_cache(args)
+        store = _run_cache(args)
         bands = fig9_accuracy(
             panel=args.panel,
             scale=args.scale,
             steps_per_leg=args.steps,
             jobs=args.jobs,
-            cache=cache,
+            run_cache=store,
         )
-        if cache is not None:
-            cache.save()
+        _save_run_cache(store)
         print(bands.describe())
         if args.chart:
             print()

@@ -26,7 +26,7 @@ The per-node stage tables depend only on ``(node, rows)`` — not on what
 the *other* nodes were assigned — so a bounded LRU inside the model
 reuses them across *every* prediction: a hill-climb move changes two
 nodes' row counts, so P-2 nodes hit the cache even through
-single-candidate :meth:`predict_seconds` calls.
+single-candidate :meth:`predict` calls.
 
 The model deliberately knows nothing about relative CPU powers, disk
 bandwidths, page caches, or per-row work variation: everything
@@ -60,7 +60,7 @@ from repro.core.report import (
 from repro.distribution.genblock import GenBlock
 from repro.exceptions import ModelError
 from repro.instrument.inputs import MhetaInputs
-from repro.obs import Recorder, warn_once
+from repro.obs import Recorder
 from repro.program.sections import CommPattern, ParallelSection
 from repro.program.structure import ProgramStructure
 from repro.util.lru import LRUCache
@@ -191,7 +191,7 @@ class MhetaModel:
     table_cache:
         Bound of the persistent ``(node, rows) -> tables`` LRU shared by
         every prediction this model makes.  ``0`` disables cross-call
-        reuse (each :meth:`predict_many` batch still shares a transient
+        reuse (each ``predict(batch=...)`` call still shares a transient
         bounded memo).
     """
 
@@ -403,43 +403,6 @@ class MhetaModel:
             self._record_cache_gauges(telemetry)
         return result
 
-    # -- deprecated aliases (thin shims; each warns once per process) --------
-
-    def predict_seconds(
-        self,
-        distribution: GenBlock,
-        iterations: Optional[int] = None,
-    ) -> float:
-        """Deprecated alias for :meth:`predict`."""
-        warn_once(
-            "MhetaModel.predict_seconds", "MhetaModel.predict(distribution)"
-        )
-        return self.predict(distribution, iterations)
-
-    def predict_many(
-        self,
-        distributions: Sequence[GenBlock],
-        iterations: Optional[int] = None,
-    ) -> List[float]:
-        """Deprecated alias for ``predict(dists, batch="serial")``."""
-        warn_once(
-            "MhetaModel.predict_many",
-            'MhetaModel.predict(distributions, batch="serial")',
-        )
-        return self.predict(distributions, iterations, batch="serial")
-
-    def predict_seconds_batch(
-        self,
-        distributions: Sequence[GenBlock],
-        iterations: Optional[int] = None,
-    ) -> np.ndarray:
-        """Deprecated alias for ``predict(dists, batch=True)``."""
-        warn_once(
-            "MhetaModel.predict_seconds_batch",
-            "MhetaModel.predict(distributions, batch=True)",
-        )
-        return self.predict(distributions, iterations, batch=True)
-
     def _record_cache_gauges(self, rec: Recorder) -> None:
         stats = self.table_cache_stats
         rec.set("model/table_cache/size", stats["size"])
@@ -514,7 +477,7 @@ class MhetaModel:
         walk — evaluates every section over the candidate axis in a
         single array pass instead of once per candidate.  Candidates
         never mix (no reduction crosses the batch axis), so entry ``b``
-        agrees with ``predict_seconds(distributions[b])`` to within the
+        agrees with ``predict(distributions[b])`` to within the
         kernel contract (<= 1e-12 relative; pinned by
         ``tests/test_batch_equivalence.py``).
 
@@ -567,7 +530,7 @@ class MhetaModel:
         counts = np.array([d.counts for d in dists], dtype=np.int64)
         cache = self._tables_cache
         if cache is None:
-            # Same transient-bound policy as predict_many: the batch
+            # Same transient-bound policy as the serial batch: the batch
             # shares tables without growing memory past the default cap.
             cache = LRUCache(DEFAULT_TABLE_CACHE_ENTRIES)
         sections = self.program.sections
@@ -1020,7 +983,7 @@ class MhetaModel:
         totals = last + steady_now * (n_iter - simulate)
         return totals, steady_now
 
-    def _predict_seconds_lean(
+    def _predict_lean(
         self,
         distribution: GenBlock,
         n_iter: int,
@@ -1162,7 +1125,7 @@ class MhetaModel:
         )
         if not want_report and self.program.iteration_profile is None:
             if self.kernel == "numpy":
-                return self._predict_seconds_lean(
+                return self._predict_lean(
                     distribution, n_iter, table_cache
                 )
             if self.kernel == "plan":

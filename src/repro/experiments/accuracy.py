@@ -23,7 +23,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.cluster.configs import architecture_suite, prefetch_suite
 from repro.apps import paper_applications
 from repro.experiments.common import SpectrumRun, run_spectrum
-from repro.parallel.cache import SweepCache
 from repro.parallel.runner import ParallelRunner
 from repro.program.structure import ProgramStructure
 from repro.util.tables import render_table
@@ -129,7 +128,7 @@ def fig9_accuracy(
     steps_per_leg: int = 3,
     scale: float = 1.0,
     jobs: int = 1,
-    cache: Optional[SweepCache] = None,
+    run_cache=None,
 ) -> AccuracyBands:
     """Regenerate one Figure-9 panel.
 
@@ -138,9 +137,11 @@ def fig9_accuracy(
     shrinks the applications for quick runs; ``architectures`` and
     ``programs`` override the suites for testing.  ``jobs`` fans the
     independent (architecture, application) runs out over a process
-    pool; results are bit-identical to ``jobs=1``.  ``cache`` memoises
-    per-point pairs across invocations (serial path only — workers
-    cannot share it).
+    pool; results are bit-identical to ``jobs=1``.  ``run_cache``
+    follows :func:`~repro.experiments.common.run_spectrum`; an explicit
+    :class:`~repro.parallel.RunCache` (e.g. one backed by a file) keeps
+    every emulated run across invocations, and then ``jobs`` fans each
+    spectrum's points out instead, so the runs reach that cache.
     """
     apps = {a.name: a for a in paper_applications(scale)}
     if panel == "all":
@@ -174,7 +175,7 @@ def fig9_accuracy(
         for cluster in suite
         for program in programs
     ]
-    if jobs > 1 and cache is None:
+    if jobs > 1 and run_cache is None:
         runs = ParallelRunner(jobs).map(_panel_task, tasks)
     else:
         runs = [
@@ -183,7 +184,8 @@ def fig9_accuracy(
                 program,
                 steps_per_leg=steps,
                 full_path=True,
-                cache=cache,
+                jobs=jobs,
+                run_cache=run_cache,
             )
             for cluster, program, steps in tasks
         ]

@@ -9,13 +9,13 @@ actual execution times" (Section 5.2.1).
 
 ``run_spectrum`` is the primitive every sweep experiment reduces to.
 It deduplicates spectrum points, predicts them in one batched
-:meth:`~repro.core.model.MhetaModel.predict` call, optionally fans
-the independent emulator runs out over a process pool
-(:class:`~repro.parallel.ParallelRunner`) and consults a content-keyed
-:class:`~repro.parallel.SweepCache`.  All of that is bit-identical to
-the plain serial loop: per-run seeded RNG streams make emulator runs
-order- and process-independent, and results are reassembled in point
-order.
+:meth:`~repro.core.model.MhetaModel.predict` call and emulates them
+through :func:`~repro.parallel.verify_distributions`, which consults a
+content-keyed :class:`~repro.parallel.RunCache` and optionally fans the
+independent emulator runs out over a process pool.  All of that is
+bit-identical to the plain serial loop: per-run seeded RNG streams make
+emulator runs order- and process-independent, and results are
+reassembled in point order.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from repro.distribution.spectrum import spectrum
 from repro.exceptions import ExperimentError
 from repro.instrument.collect import collect_inputs
 from repro.obs import Recorder, as_recorder
-from repro.parallel.cache import SweepCache
-from repro.parallel.runner import ParallelRunner
+from repro.parallel.verify import verify_distributions
 from repro.program.structure import ProgramStructure
-from repro.sim.executor import emulate
 from repro.sim.perturbation import PerturbationConfig
 
 __all__ = ["PointComparison", "SpectrumRun", "build_model", "run_spectrum"]
@@ -144,18 +142,6 @@ def build_model(
     return MhetaModel(program, cluster, inputs, kernel=kernel)
 
 
-def _emulate_task(
-    spec: Tuple[ClusterSpec, ProgramStructure, Optional[PerturbationConfig], Tuple[int, ...]]
-) -> float:
-    """Process-pool task: one independent emulator run (module-level so
-    it pickles).  Goes through :func:`repro.sim.emulate`, so identical
-    configurations across panels hit the process-wide run cache."""
-    cluster, program, perturbation, counts = spec
-    return emulate(
-        cluster, program, GenBlock(counts), perturbation=perturbation
-    ).total_seconds
-
-
 def run_spectrum(
     cluster: ClusterSpec,
     program: ProgramStructure,
@@ -164,16 +150,20 @@ def run_spectrum(
     perturbation: Optional[PerturbationConfig] = None,
     model: Optional[MhetaModel] = None,
     jobs: int = 1,
-    cache: Optional[SweepCache] = None,
+    run_cache=None,
     telemetry: Optional[Recorder] = None,
 ) -> SpectrumRun:
     """Compare actual vs predicted over the distribution spectrum.
 
     ``jobs`` fans the per-point emulator runs out over a process pool
-    (``1`` = serial); ``cache`` memoises ``(actual, predicted)`` pairs
-    across calls.  Neither changes the numbers — only the wall clock.
-    ``telemetry`` (a :class:`repro.obs.Recorder`) receives sweep-level
-    counters plus whatever the model and runner record.
+    (``1`` = serial); ``run_cache`` memoises the emulated runs across
+    calls, following :func:`~repro.parallel.verify_distributions`
+    (``None`` = the process-wide cache, ``False`` = none, or a
+    :class:`~repro.parallel.RunCache`, e.g. one backed by a file).
+    Predictions are always recomputed: they cost microseconds.  Neither
+    knob changes the numbers — only the wall clock.  ``telemetry`` (a
+    :class:`repro.obs.Recorder`) receives sweep-level counters plus
+    whatever the model, emulator and runner record.
     """
     rec = as_recorder(telemetry)
     points = list(spectrum(cluster, program, steps_per_leg, full_path))
@@ -184,45 +174,26 @@ def run_spectrum(
         key = point.distribution.counts
         if key not in order:
             order.append(key)
+    dists = [GenBlock(k) for k in order]
 
-    pairs: dict = {}
-    pending: List[Tuple[int, ...]] = []
-    for key in order:
-        hit = (
-            cache.lookup(cluster, program, GenBlock(key), perturbation)
-            if cache is not None
-            else None
-        )
-        if hit is not None:
-            pairs[key] = hit
-        else:
-            pending.append(key)
-
-    if pending:
-        # A fully-cached sweep never needs the model, so even the
-        # instrumented iteration behind build_model is skipped.
-        if model is None:
-            model = build_model(cluster, program, perturbation)
-        predicted = model.predict(
-            [GenBlock(k) for k in pending],
-            batch="serial",
-            telemetry=telemetry,
-        )
-        actual = ParallelRunner(jobs, telemetry=telemetry).map(
-            _emulate_task,
-            [(cluster, program, perturbation, k) for k in pending],
-        )
-        for key, a, p in zip(pending, actual, predicted):
-            pairs[key] = (a, p)
-            if cache is not None:
-                cache.store(cluster, program, GenBlock(key), a, p, perturbation)
+    if model is None:
+        model = build_model(cluster, program, perturbation)
+    predicted = model.predict(dists, batch="serial", telemetry=telemetry)
+    actual = verify_distributions(
+        cluster,
+        program,
+        dists,
+        jobs=jobs,
+        perturbation=perturbation,
+        run_cache=run_cache,
+        telemetry=telemetry,
+    )
+    pairs = dict(zip(order, zip(actual, predicted)))
 
     if rec:
         rec.count("sweep/runs")
         rec.count("sweep/points", len(points))
         rec.count("sweep/distinct_points", len(order))
-        rec.count("sweep/cache_hits", len(order) - len(pending))
-        rec.count("sweep/emulated", len(pending))
 
     comparisons: List[PointComparison] = []
     for point in points:

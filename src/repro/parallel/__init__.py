@@ -9,12 +9,11 @@ parallel.  This package provides the shared machinery:
 * :class:`ParallelRunner` — ordered ``map`` over a
   :class:`~concurrent.futures.ProcessPoolExecutor`, with a
   deterministic serial fallback at ``jobs=1``;
-* :class:`SweepCache` / :func:`content_key` — content-keyed
-  memoisation of ``(cluster, program, distribution) -> (actual,
-  predicted)`` pairs, in memory and optionally on disk;
+* :class:`RunCache` / :func:`content_key` — content-keyed
+  memoisation of emulated runs, in memory and optionally on disk;
 * :func:`verify_distributions` — parallel emulator verification of
   search winners;
-* :func:`predict_seconds_sharded` — shard a large candidate batch
+* :func:`predict_sharded` — shard a large candidate batch
   across workers, each scoring its slice with the vectorized
   ``predict(batch=True)`` kernel.
 
@@ -28,11 +27,10 @@ execution by construction, and the equivalence is regression-tested.
 from repro.parallel.runner import ParallelRunner, resolve_jobs, split_shards
 from repro.parallel.cache import (
     RunCache,
-    SweepCache,
     content_key,
     default_run_cache,
 )
-from repro.parallel.predict import predict_2d_sharded, predict_seconds_sharded
+from repro.parallel.predict import predict_2d_sharded, predict_sharded
 from repro.parallel.verify import verify_distributions
 
 __all__ = [
@@ -40,10 +38,9 @@ __all__ = [
     "resolve_jobs",
     "split_shards",
     "RunCache",
-    "SweepCache",
     "content_key",
     "default_run_cache",
-    "predict_seconds_sharded",
+    "predict_sharded",
     "predict_2d_sharded",
     "verify_distributions",
 ]

@@ -1,12 +1,13 @@
-"""Content-keyed memoisation of spectrum evaluations.
+"""Content-keyed memoisation of emulated runs.
 
-Spectrum sweeps, accuracy panels and spread tables all reduce to the
-same primitive: run the emulator and the model on one ``(cluster,
-program, distribution)`` triple and keep the ``(actual, predicted)``
-pair.  Different experiments — and repeated CLI/benchmark invocations —
-revisit the same triples constantly (every leg of the spectrum shares
-its endpoints with the next), so :class:`SweepCache` memoises the pairs,
-in memory and optionally on disk.
+Spectrum sweeps, accuracy panels, verification rounds and spread tables
+all reduce to the same primitive: emulate one ``(cluster, program,
+distribution)`` triple.  Different experiments — and repeated
+CLI/benchmark invocations — revisit the same triples constantly (every
+leg of the spectrum shares its endpoints with the next), so
+:class:`RunCache` memoises the whole run, in memory and optionally on
+disk.  The model's prediction is not stored: it costs microseconds to
+recompute.
 
 Keys are *content* hashes, not object identities or names: two
 ``ClusterSpec`` objects describing the same hardware hash identically,
@@ -24,7 +25,9 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
+import sys
 import tempfile
 import threading
 import weakref
@@ -35,13 +38,7 @@ import numpy as np
 
 from repro.util.lru import LRUCache
 
-__all__ = ["SweepCache", "RunCache", "content_key", "default_run_cache"]
-
-#: Miss marker for store lookups (a stored pair is never ``None``, but
-#: detecting absence by sentinel keeps lookup semantics uniform with
-#: :class:`repro.util.lru.LRUCache`).
-_MISS = object()
-
+__all__ = ["RunCache", "content_key", "default_run_cache"]
 
 def _canonical(obj: Any) -> Any:
     """Reduce ``obj`` to JSON-encodable structure that captures content."""
@@ -90,7 +87,7 @@ def _file_lock(path: Path) -> Iterator[None]:
     """Exclusive inter-process lock covering updates of ``path``.
 
     ``os.replace`` makes each write atomic, but the read-merge-replace
-    in :meth:`SweepCache.save` is not: two processes that both read
+    in :meth:`RunCache.save` is not: two processes that both read
     before either replaces silently drop one side's entries.  An
     ``flock`` over the whole critical section serialises the merge.
     The lock is taken on the *parent directory's* fd: the data file's
@@ -113,6 +110,13 @@ def _file_lock(path: Path) -> Iterator[None]:
             fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)
+
+
+def _finite(value: Any) -> float:
+    """``value`` as a float when it is a finite JSON number."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return float(value)
 
 
 def _digest(tokens: Any) -> str:
@@ -159,196 +163,18 @@ def _guards_hold(refs: tuple, objects: tuple) -> bool:
     )
 
 
-class SweepCache:
-    """Memoised ``(cluster, program, distribution) -> (actual, predicted)``.
-
-    Parameters
-    ----------
-    path:
-        Optional JSON file for on-disk persistence.  If it exists it is
-        loaded eagerly; :meth:`save` writes the merged contents back
-        (what is on disk now — including entries another process wrote
-        since load — merged with this cache's entries) atomically, so
-        repeated benchmark/CLI invocations skip redundant emulation and
-        a fleet of processes can share one history file.
-    max_entries:
-        Optional bound on the in-memory store.  When set, the cache
-        keeps only the ``max_entries`` most recently used pairs
-        (least-recently-used eviction), so unattended long-running
-        sweeps hold memory at a fixed ceiling; ``None`` (default) keeps
-        everything, as before.
-
-    Hit/miss accounting has one source of truth: the backing
-    :class:`~repro.util.lru.LRUCache` counters when the store is
-    bounded, the cache's own counters otherwise — ``hits``/``misses``
-    read whichever applies, so telemetry and ``repro stats`` can never
-    report two disagreeing figures for the same cache.
-
-    All operations (and the read-merge-write in :meth:`save`) run under
-    an ``RLock``, so one cache may be shared between the serving
-    coordinator's event loop and its executor thread.
-    """
-
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.RLock()
-        self._store: Union[Dict[str, Tuple[float, float]], LRUCache]
-        if max_entries is None:
-            self._store = {}
-        else:
-            self._store = LRUCache(max_entries, threadsafe=True)
-        self._hits = 0
-        self._misses = 0
-        if self.path is not None and self.path.exists():
-            for k, pair in self._read_disk().items():
-                self._put(k, pair)
-
-    def _read_disk(self) -> Dict[str, Tuple[float, float]]:
-        """Parse the on-disk file (empty mapping when unreadable — a
-        half-written file from a pre-atomic-write version must not brick
-        every later run)."""
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return {}
-        return {k: (float(a), float(p)) for k, (a, p) in raw.items()}
-
-    def _put(self, key: str, pair: Tuple[float, float]) -> None:
-        if isinstance(self._store, LRUCache):
-            self._store.put(key, pair)
-        else:
-            self._store[key] = pair
-
-    @property
-    def hits(self) -> int:
-        """Lookup hits — delegated to the LRU when the store is bounded."""
-        if isinstance(self._store, LRUCache):
-            return self._store.hits
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookup misses — delegated to the LRU when the store is bounded."""
-        if isinstance(self._store, LRUCache):
-            return self._store.misses
-        return self._misses
-
-    @property
-    def stats(self) -> dict:
-        """Counter snapshot (one consistent source of truth)."""
-        return {
-            "size": len(self),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @staticmethod
-    def key(cluster, program, distribution, perturbation=None) -> str:
-        return content_key(
-            cluster, program, tuple(distribution.counts), perturbation
-        )
-
-    def lookup(
-        self, cluster, program, distribution, perturbation=None
-    ) -> Optional[Tuple[float, float]]:
-        """Return the cached ``(actual, predicted)`` pair, or ``None``.
-
-        A bounded store counts the hit/miss itself (that *is* the
-        authoritative counter, see the class docstring); the unbounded
-        dict path counts here.
-        """
-        key = self.key(cluster, program, distribution, perturbation)
-        with self._lock:
-            pair = self._store.get(key, _MISS)
-            if isinstance(self._store, LRUCache):
-                # LRUCache.get already counted; normalise the sentinel.
-                return None if pair is _MISS else pair
-            if pair is _MISS:
-                self._misses += 1
-                return None
-            self._hits += 1
-            return pair
-
-    def store(
-        self,
-        cluster,
-        program,
-        distribution,
-        actual: float,
-        predicted: float,
-        perturbation=None,
-    ) -> None:
-        with self._lock:
-            self._put(
-                self.key(cluster, program, distribution, perturbation),
-                (float(actual), float(predicted)),
-            )
-
-    def save(self) -> None:
-        """Persist to ``path`` (no-op for purely in-memory caches).
-
-        The write is a read-merge-replace: entries another process wrote
-        to the file since this cache loaded it are re-read and kept
-        (this cache's pairs win on key collisions — the pairs are
-        deterministic, so colliding values agree anyway).  The whole
-        read-merge-replace runs under an inter-process file lock and the
-        merged payload lands via a same-directory temp file +
-        :func:`os.replace`, so a crash mid-write can never leave a
-        truncated file and two processes saving interleaved lose
-        nothing.
-        """
-        if self.path is None:
-            return
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with _file_lock(self.path):
-                merged: Dict[str, Tuple[float, float]] = {}
-                if self.path.exists():
-                    merged.update(self._read_disk())
-                merged.update(
-                    (k, (float(v[0]), float(v[1])))
-                    for k, v in self._store.items()
-                )
-                payload = {k: list(v) for k, v in sorted(merged.items())}
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.path.parent, prefix=self.path.name,
-                    suffix=".tmp",
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        fh.write(
-                            json.dumps(payload, indent=0, sort_keys=True)
-                            + "\n"
-                        )
-                    os.replace(tmp, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-
-
 class RunCache:
-    """Bounded content-keyed memoisation of whole emulator ``RunResult``s.
+    """Content-keyed memoisation of whole emulator ``RunResult``s.
 
-    Where :class:`SweepCache` keeps only the scalar ``(actual,
-    predicted)`` pair of a spectrum point, this cache keeps the full
-    :class:`~repro.sim.executor.RunResult` (total, per-node times,
-    iteration ends), so any layer that re-emulates an identical
-    configuration — grid experiments sharing spectrum endpoints across
-    panels, the adaptive runtime re-running its static baseline, repeat
-    benchmark rounds — gets the stored run back instead.
+    The cache keeps the full :class:`~repro.sim.executor.RunResult`
+    (total, per-node times, iteration ends), so any layer that
+    re-emulates an identical configuration — grid experiments sharing
+    spectrum endpoints across panels, verification rounds, the adaptive
+    runtime re-running its static baseline, repeat benchmark rounds —
+    gets the stored run back instead.
 
     Keys follow the same content-hash discipline as :func:`content_key`
-    everywhere else, and the store is the same bounded LRU as the
+    everywhere else.  An in-memory cache is the same bounded LRU as the
     prediction table cache (:class:`repro.util.lru.LRUCache`), so long
     sweeps hold memory at a fixed ceiling.
 
@@ -358,22 +184,36 @@ class RunCache:
     poison the cache, without the deep defensive copy the hit path
     used to pay.
 
-    ``path`` adds an optional on-disk tier with :class:`SweepCache`
-    semantics: loaded eagerly, persisted by :meth:`save` as an atomic
-    read-merge-replace under the parent-directory file lock, so a fleet
-    of processes shares one emulation history.
+    ``path`` adds an on-disk tier: loaded eagerly, persisted by
+    :meth:`save` as an atomic read-merge-replace under the
+    parent-directory file lock, so a fleet of processes shares one
+    emulation history.  A cache with a path is the persistent record of
+    every run put into it, so it is unbounded: an LRU would silently
+    drop runs before they reach the file.  ``max_entries`` bounds
+    in-memory caches only (default :attr:`DEFAULT_MAX_ENTRIES`).
     """
 
     DEFAULT_MAX_ENTRIES = 512
 
     def __init__(
         self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
+        max_entries: Optional[int] = None,
         path: Optional[Union[str, Path]] = None,
     ) -> None:
-        self._store = LRUCache(max_entries)
-        self._lock = threading.RLock()
         self.path = Path(path) if path is not None else None
+        if self.path is None:
+            bound = (
+                self.DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
+            )
+        elif max_entries is None:
+            bound = sys.maxsize
+        else:
+            raise ValueError(
+                "a RunCache with a path keeps every run; max_entries "
+                "bounds in-memory caches only"
+            )
+        self._store = LRUCache(bound)
+        self._lock = threading.RLock()
         self.loaded_from_disk = 0
         if self.path is not None and self.path.exists():
             for k, result in self._read_disk().items():
@@ -559,34 +399,61 @@ class RunCache:
 
     @staticmethod
     def _deserialize(payload):
+        """A frozen result from its JSON form; raises ``ValueError`` or
+        ``TypeError`` on anything :meth:`_serialize` cannot have written."""
         from repro.distribution.genblock import GenBlock
         from repro.sim.executor import RunResult
 
         total, per_node, ends, counts, iterations, fast = payload
+        if not (
+            isinstance(per_node, list)
+            and isinstance(ends, list)
+            and isinstance(counts, list)
+            and all(isinstance(row, list) for row in ends)
+            and len(per_node) == len(ends) == len(counts) > 0
+            and all(type(c) is int and 0 <= c < 2**31 for c in counts)
+            and type(iterations) is int
+            and iterations >= 0
+            and isinstance(fast, bool)
+        ):
+            raise ValueError(f"malformed run-cache entry {payload!r}")
         return RunResult(
-            total_seconds=float(total),
-            per_node_seconds=tuple(float(v) for v in per_node),
+            total_seconds=_finite(total),
+            per_node_seconds=tuple(_finite(v) for v in per_node),
             iteration_ends=tuple(
-                tuple(float(v) for v in row) for row in ends
+                tuple(_finite(v) for v in row) for row in ends
             ),
-            distribution=GenBlock(tuple(int(c) for c in counts)),
-            iterations=int(iterations),
-            fast_forwarded=bool(fast),
+            distribution=GenBlock(tuple(counts)),
+            iterations=iterations,
+            fast_forwarded=fast,
         )
 
     def _read_disk(self) -> Dict[str, Any]:
-        """Parse the on-disk file into frozen results (empty mapping
-        when unreadable, matching :meth:`SweepCache._read_disk`)."""
+        """Parse the on-disk file into frozen results.  A file that is
+        unreadable, not a JSON object, or holds any malformed entry is
+        treated as empty: a half-written or foreign file must not brick
+        every later run, and a malformed entry must never be served."""
         try:
             raw = json.loads(self.path.read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                return {}
             return {k: self._deserialize(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError, KeyError):
+        except (OSError, ValueError, TypeError, RecursionError):
             return {}
 
     def save(self) -> None:
-        """Persist to ``path`` (no-op for purely in-memory caches);
-        read-merge-replace under the parent-directory lock, exactly
-        like :meth:`SweepCache.save`."""
+        """Persist to ``path`` (no-op for purely in-memory caches).
+
+        The write is a read-merge-replace: entries another process wrote
+        to the file since this cache loaded it are re-read and kept
+        (this cache's runs win on key collisions — runs are
+        deterministic, so colliding values agree anyway).  The whole
+        read-merge-replace runs under an inter-process file lock and the
+        merged payload lands via a same-directory temp file +
+        :func:`os.replace`, so a crash mid-write can never leave a
+        truncated file and two processes saving interleaved lose
+        nothing.
+        """
         if self.path is None:
             return
         with self._lock:

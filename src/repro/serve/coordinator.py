@@ -22,11 +22,10 @@ Where the speed comes from:
   in-flight run and repeats hit a bounded result cache.
 * **Warm cache tiers.**  Per-model :class:`~repro.search.base.
   EvaluationCache` entries persist across requests (a repeat candidate
-  never reaches the kernel), emulator runs share the process-wide
-  :class:`~repro.parallel.cache.RunCache`, and an optional on-disk
-  :class:`~repro.parallel.cache.SweepCache` lets a fleet of server
-  processes share ``(actual, predicted)`` history (its merge-on-save
-  makes interleaved saves safe).
+  never reaches the kernel), and emulator runs share one
+  :class:`~repro.parallel.cache.RunCache` — the process-wide one, or a
+  file-backed one that lets a fleet of server processes share
+  emulation history (its merge-on-save makes interleaved saves safe).
 
 Model and emulator work runs on a single executor thread so the event
 loop keeps accepting and coalescing while a pass computes; the caches
@@ -63,8 +62,9 @@ __all__ = ["ServeCoordinator", "ServerHandle"]
 #: a plain dict by design — see ``repro.search.base``).
 EVAL_CACHE_CEILING = 100_000
 
-#: Periodic persistence of the shared disk tier: every N stored pairs.
-SWEEP_CACHE_SAVE_EVERY = 64
+#: Periodic persistence of the shared disk tier: every N verified
+#: candidates.
+RUN_CACHE_SAVE_EVERY = 64
 
 
 class _ModelEntry:
@@ -99,17 +99,13 @@ class ServeCoordinator:
     jobs:
         Worker processes for the emulator fan-out of ``verify`` rounds
         (:func:`repro.parallel.verify_distributions`); ``1`` = serial.
-    sweep_cache:
-        Optional :class:`~repro.parallel.cache.SweepCache`; ``verify``
-        answers are looked up there first and stored back, and the
-        cache is saved (merge + atomic replace) every
-        ``SWEEP_CACHE_SAVE_EVERY`` stores and at shutdown.
     run_cache:
         Optional :class:`~repro.parallel.cache.RunCache` used by the
         batched emulation passes behind ``verify`` (``None`` keeps the
         process-default in-memory cache).  When constructed with a
-        ``path`` it is persisted on the same cadence as the sweep
-        cache, so a fleet shares raw emulation history too.
+        ``path`` it is saved (merge + atomic replace) every
+        ``RUN_CACHE_SAVE_EVERY`` verified candidates and at shutdown, so
+        a fleet shares emulation history.
     model_cache_entries:
         Bound of the resident-model LRU.
     telemetry:
@@ -125,7 +121,6 @@ class ServeCoordinator:
         max_batch: int = 256,
         batch_mode: str = "vector",
         jobs: int = 1,
-        sweep_cache=None,
         run_cache=None,
         model_cache_entries: int = 16,
         telemetry: Optional[Recorder] = None,
@@ -135,7 +130,6 @@ class ServeCoordinator:
         self.kernel = kernel
         self.batch_mode = batch_mode
         self.jobs = jobs
-        self.sweep_cache = sweep_cache
         self.run_cache = run_cache
         self.telemetry = as_recorder(telemetry)
         # Eviction must also drop the model's compiled evaluation plan
@@ -160,7 +154,6 @@ class ServeCoordinator:
         )
         self._search_results = LRUCache(256)
         self._search_inflight: Dict[Tuple, asyncio.Future] = {}
-        self._sweep_stores = 0
         self._run_cache_stores = 0
         self.requests_handled = 0
         self._shutdown = asyncio.Event()
@@ -348,7 +341,6 @@ class ServeCoordinator:
                 values = await self._verify(
                     entry,
                     [dists[i] for i in idxs],
-                    [predicted[i] for i in idxs],
                     dynamics=self._dynamics_spec(entry, scenario),
                 )
                 for i, value in zip(idxs, values):
@@ -395,67 +387,34 @@ class ServeCoordinator:
         return spec if spec else None
 
     async def _verify(
-        self, entry: _ModelEntry, dists, predicted: List[float], *,
-        dynamics=None,
+        self, entry: _ModelEntry, dists, *, dynamics=None
     ) -> List[float]:
         """Emulated actual seconds for a round's verify queries, through
-        the on-disk sweep tier and the parallel runner.
-
-        The sweep tier's keys ignore dynamics, so dynamic-scenario
-        verifies bypass it entirely (neither served from it nor stored
-        into it) — only the content-keyed run cache, whose keys *do*
-        fold in the spec, may short-circuit those emulations.
-        """
+        the run cache and the parallel runner; a file-backed run cache
+        is saved every ``RUN_CACHE_SAVE_EVERY`` verified candidates."""
         rec = self.telemetry
-        sweep = self.sweep_cache if dynamics is None else None
-        actuals: List[Optional[float]] = [None] * len(dists)
-        pending: List[int] = []
-        for i, d in enumerate(dists):
-            pair = (
-                sweep.lookup(entry.cluster, entry.program, d)
-                if sweep is not None
-                else None
-            )
-            if pair is not None:
-                actuals[i] = pair[0]
-            else:
-                pending.append(i)
-        if pending:
-            worker_rec = Recorder() if rec else None
-            emulated = await self._run_blocking(
-                self._emulate_pending,
-                entry,
-                [dists[i] for i in pending],
-                worker_rec,
-                dynamics,
-            )
-            if rec and worker_rec is not None:
-                rec.merge(worker_rec)
-            for i, actual in zip(pending, emulated):
-                actuals[i] = actual
-                if sweep is not None:
-                    sweep.store(
-                        entry.cluster, entry.program, dists[i],
-                        actual, predicted[i],
-                    )
-                    self._sweep_stores += 1
-            if sweep is not None and self._sweep_stores >= SWEEP_CACHE_SAVE_EVERY:
-                self._sweep_stores = 0
-                await self._run_blocking(sweep.save)
-            run_cache = self.run_cache
-            if run_cache is not None and run_cache.path is not None:
-                self._run_cache_stores += len(pending)
-                if self._run_cache_stores >= SWEEP_CACHE_SAVE_EVERY:
-                    self._run_cache_stores = 0
-                    await self._run_blocking(run_cache.save)
+        worker_rec = Recorder() if rec else None
+        actuals = await self._run_blocking(
+            self._emulate, entry, dists, worker_rec, dynamics
+        )
+        if rec and worker_rec is not None:
+            rec.merge(worker_rec)
+        run_cache = self.run_cache
+        if run_cache is not None and run_cache.path is not None:
+            self._run_cache_stores += len(dists)
+            if self._run_cache_stores >= RUN_CACHE_SAVE_EVERY:
+                self._run_cache_stores = 0
+                await self._run_blocking(run_cache.save)
         if rec:
-            rec.count("serve/verify_emulated", len(pending))
-            rec.count("serve/verify_sweep_hits", len(dists) - len(pending))
+            rec.count(
+                "serve/verify_emulated",
+                worker_rec.counters.get("sim/run_cache/misses", 0),
+            )
             if dynamics is not None:
                 rec.count("serve/verify_dynamic", len(dists))
-        return actuals  # type: ignore[return-value]
+        return actuals
 
-    def _emulate_pending(
+    def _emulate(
         self, entry: _ModelEntry, dists, telemetry=None, dynamics=None
     ) -> List[float]:
         # One coalesced verify round = one batched emulation pass (the
@@ -572,8 +531,6 @@ class ServeCoordinator:
             if self.telemetry
             else None,
         }
-        if self.sweep_cache is not None:
-            stats["sweep_cache"] = self.sweep_cache.stats
         if self.run_cache is not None:
             stats["run_cache"] = self.run_cache.stats
         return stats
@@ -669,8 +626,6 @@ class ServeCoordinator:
     async def aclose(self) -> None:
         """Drain the batcher, persist the disk tier, stop the executor."""
         await self._batcher.drain()
-        if self.sweep_cache is not None:
-            await self._run_blocking(self.sweep_cache.save)
         if self.run_cache is not None and self.run_cache.path is not None:
             await self._run_blocking(self.run_cache.save)
         self._executor.shutdown(wait=True)

@@ -33,6 +33,7 @@ from repro.sim.executor import (
     emulate,
     emulate_many,
     fast_forward_default,
+    run_cache_keys,
     set_fast_forward_default,
 )
 from repro.sim.plan_sim import EmulationPlan, get_emulation_plan
@@ -57,6 +58,7 @@ __all__ = [
     "RunResult",
     "emulate",
     "emulate_many",
+    "run_cache_keys",
     "EmulationPlan",
     "get_emulation_plan",
     "fast_forward_default",

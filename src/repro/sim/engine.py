@@ -287,7 +287,7 @@ class _RecvResult:
     payload: Any
 
     def __float__(self) -> float:
-        return self.time
+        return float(self.time)
 
 
 def run_processes(processes: Iterable[Tuple[int, Process]]) -> float:

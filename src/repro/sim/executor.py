@@ -20,7 +20,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.cluster.dynamics import DynamicsSpec, DynamicsTimeline
 from repro.distribution.genblock import GenBlock
 from repro.exceptions import SimulationError
-from repro.obs.deprecation import warn_once
 from repro.placement import MemoryPlan
 from repro.program.sections import CommPattern
 from repro.program.stages import Stage
@@ -48,6 +47,7 @@ __all__ = [
     "RunResult",
     "emulate",
     "emulate_many",
+    "run_cache_keys",
     "set_fast_forward_default",
     "fast_forward_default",
 ]
@@ -73,10 +73,6 @@ def fast_forward_default() -> bool:
     """The current process-wide fast-forward default."""
     return _FAST_FORWARD_DEFAULT
 
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated-keyword shims.
-_UNSET = object()
 
 #: Valid ``io_mode`` values for the consolidated emulation API.
 IO_MODES = ("auto", "sync", "prefetch", "instrumented")
@@ -306,7 +302,6 @@ class ClusterEmulator:
         observer: Optional[Observer] = None,
         telemetry=None,
         iteration_offset: int = 0,
-        instrumented=_UNSET,
     ) -> RunResult:
         """Run the program and return timing.
 
@@ -342,17 +337,7 @@ class ClusterEmulator:
         gating — it rides along on whatever iterations are actually
         simulated (the probe, under fast-forward), so enabling
         telemetry never changes the simulated timing or the decision.
-
-        ``instrumented=`` is a deprecated alias for
-        ``io_mode="instrumented"`` (warns once per process).
         """
-        if instrumented is not _UNSET:
-            warn_once(
-                "ClusterEmulator.run(instrumented=)",
-                'ClusterEmulator.run(io_mode="instrumented")',
-            )
-            if instrumented:
-                io_mode = "instrumented"
         instr, io_override = _resolve_io_mode(io_mode)
         if distribution.n_nodes != self.cluster.n_nodes:
             raise SimulationError(
@@ -979,19 +964,38 @@ def _copy_result(result: RunResult) -> RunResult:
     )
 
 
-def _legacy_emulate_kwargs(entry, io_mode, run_cache, instrumented, cache):
-    """Map the deprecated ``instrumented=``/``cache=`` keywords onto the
-    consolidated ``io_mode=``/``run_cache=`` ones, warning once each."""
-    if instrumented is not _UNSET:
-        warn_once(
-            f"{entry}(instrumented=)", f'{entry}(io_mode="instrumented")'
-        )
-        if instrumented:
-            io_mode = "instrumented"
-    if cache is not _UNSET:
-        warn_once(f"{entry}(cache=)", f"{entry}(run_cache=)")
-        run_cache = cache
-    return io_mode, run_cache
+def run_cache_keys(
+    cluster: ClusterSpec,
+    program: ProgramStructure,
+    distributions,
+    *,
+    iterations: Optional[int] = None,
+    io_mode: str = "auto",
+    perturbation: Optional[PerturbationConfig] = None,
+    dynamics=None,
+    fast_forward: Optional[bool] = None,
+    iteration_offset: int = 0,
+) -> List[str]:
+    """The :class:`~repro.parallel.cache.RunCache` key of each
+    distribution's run, for :func:`emulate` / :func:`emulate_many`
+    called with the same keywords."""
+    from repro.parallel.cache import RunCache
+
+    instr, _ = _resolve_io_mode(io_mode)
+    base = RunCache.key_base(
+        cluster,
+        program,
+        iterations if iterations is not None else program.iterations,
+        perturbation if perturbation is not None else PerturbationConfig(),
+        instrumented=instr,
+        fast_forward=(
+            _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
+        ),
+        dynamics=_resolve_dynamics(cluster, dynamics),
+        io_mode=io_mode,
+        iteration_offset=iteration_offset,
+    )
+    return [RunCache.key_from_base(base, d.counts) for d in distributions]
 
 
 def emulate(
@@ -1008,8 +1012,6 @@ def emulate(
     telemetry=None,
     observer: Optional[Observer] = None,
     iteration_offset: int = 0,
-    instrumented=_UNSET,
-    cache=_UNSET,
 ) -> RunResult:
     """One emulated run, memoised in the shared content-keyed run cache.
 
@@ -1042,14 +1044,7 @@ def emulate(
     hit/miss counters land under ``sim/run_cache/``, and cache misses
     record the run's phase telemetry (see :meth:`ClusterEmulator.run`).
     A hit performs no simulation, so only the counters move.
-
-    ``instrumented=`` and ``cache=`` are deprecated aliases for
-    ``io_mode="instrumented"`` and ``run_cache=`` (each warns once).
     """
-    io_mode, run_cache = _legacy_emulate_kwargs(
-        "emulate", io_mode, run_cache, instrumented, cache
-    )
-    instr, _ = _resolve_io_mode(io_mode)
     dyn = _resolve_dynamics(cluster, dynamics)
     # dyn is fully resolved; False stops the emulator's own
     # cluster-attached fallback from re-resolving a None.
@@ -1069,21 +1064,18 @@ def emulate(
             iteration_offset=iteration_offset,
         )
 
-    from repro.parallel.cache import RunCache, default_run_cache
+    from repro.parallel.cache import default_run_cache
 
     store = default_run_cache() if run_cache is None else run_cache
-    n_iter = iterations if iterations is not None else program.iterations
-    use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
-    key = RunCache.key(
+    (key,) = run_cache_keys(
         cluster,
         program,
-        distribution,
-        n_iter,
-        emulator.perturbation,
-        instrumented=instr,
-        fast_forward=use_fast,
-        dynamics=dyn,
+        [distribution],
+        iterations=iterations,
         io_mode=io_mode,
+        perturbation=emulator.perturbation,
+        dynamics=dynamics,
+        fast_forward=fast_forward,
         iteration_offset=iteration_offset,
     )
     # The store holds frozen (tuple-field) payloads and thaws on get,
@@ -1123,7 +1115,6 @@ def emulate_many(
     run_cache: Union[None, bool, "object"] = None,
     telemetry=None,
     iteration_offset: int = 0,
-    cache=_UNSET,
 ) -> List[RunResult]:
     """Emulate a whole population of candidates in one batched pass.
 
@@ -1144,16 +1135,12 @@ def emulate_many(
     :meth:`~repro.parallel.cache.RunCache.put_many`.  ``run_cache``
     follows :func:`emulate`: ``None`` for the process-wide store,
     ``False`` to bypass, or an explicit
-    :class:`~repro.parallel.cache.RunCache`.  ``cache=`` is the
-    deprecated alias for ``run_cache=`` (warns once).
+    :class:`~repro.parallel.cache.RunCache`.
 
     Telemetry: one ``sim/batch/passes`` count per call — the
     coalesced-round invariant the serve verify path asserts — plus
     candidate/hit/fallback counters under ``sim/batch/``.
     """
-    io_mode, run_cache = _legacy_emulate_kwargs(
-        "emulate_many", io_mode, run_cache, _UNSET, cache
-    )
     instr, io_override = _resolve_io_mode(io_mode)
     dyn = _resolve_dynamics(cluster, dynamics)
     distributions = list(distributions)
@@ -1173,22 +1160,19 @@ def emulate_many(
     keys: List[Optional[str]] = [None] * len(distributions)
     cache_hits = 0
     if store is not None:
-        from repro.parallel.cache import RunCache
-
-        base = RunCache.key_base(
+        keys = run_cache_keys(
             cluster,
             program,
-            n_iter,
-            emulator.perturbation,
-            instrumented=instr,
-            fast_forward=use_fast,
-            dynamics=dyn,
+            distributions,
+            iterations=n_iter,
             io_mode=io_mode,
+            perturbation=emulator.perturbation,
+            dynamics=dynamics,
+            fast_forward=use_fast,
             iteration_offset=iteration_offset,
         )
-        for i, dist in enumerate(distributions):
-            keys[i] = RunCache.key_from_base(base, dist.counts)
-            hit = store.get(keys[i])
+        for i, key in enumerate(keys):
+            hit = store.get(key)
             if hit is not None:
                 results[i] = hit
                 cache_hits += 1

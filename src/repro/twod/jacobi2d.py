@@ -31,7 +31,7 @@ from repro.core.model import KERNELS
 from repro.exceptions import ModelError, SimulationError
 from repro.instrument.collect import MeasurementConfig
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
-from repro.obs import Recorder, as_recorder, warn_once
+from repro.obs import Recorder, as_recorder
 from repro.sim.disk import DiskModel
 from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
@@ -130,17 +130,13 @@ class TwoDEmulator:
         telemetry: Optional[Recorder] = None,
         iteration_offset: int = 0,
         policy: Optional[FastForwardPolicy] = None,
-        instrumented=None,
-        collector=None,
     ) -> float:
         """Total emulated seconds of ``n_iter`` 2-D Jacobi iterations.
 
         The keyword surface mirrors :meth:`ClusterEmulator.run`
         (``io_mode``, ``observer``, ``iteration_offset``); the 2-D
         kernel streams synchronously, so ``io_mode="prefetch"`` is
-        rejected.  ``instrumented=``/``collector=`` are deprecated
-        aliases for ``io_mode="instrumented"``/``observer=`` (each
-        warns once).
+        rejected.
 
         Fast-forward follows the 1-D emulator exactly: structurally
         eligible runs (:func:`supports_fast_forward` — an observer or
@@ -149,18 +145,6 @@ class TwoDEmulator:
         the rest is extrapolated closed-form; anything else falls back
         to the full event loop, bit for bit.
         """
-        if instrumented is not None:
-            warn_once(
-                "TwoDEmulator.run(instrumented=)",
-                'TwoDEmulator.run(io_mode="instrumented")',
-            )
-            if instrumented:
-                io_mode = "instrumented"
-        if collector is not None:
-            warn_once(
-                "TwoDEmulator.run(collector=)", "TwoDEmulator.run(observer=)"
-            )
-            observer = collector
         from repro.sim.executor import _resolve_io_mode
 
         instr, io_override = _resolve_io_mode(io_mode)
@@ -637,15 +621,6 @@ class TwoDModel:
             rec.count("model/predictions")
             self._record_plan_gauges(rec)
         return result
-
-    def predict_seconds(
-        self, dist: GenBlock2D, iterations: Optional[int] = None
-    ) -> float:
-        """Deprecated alias for :meth:`predict`."""
-        warn_once(
-            "TwoDModel.predict_seconds", "TwoDModel.predict(distribution)"
-        )
-        return self.predict(dist, iterations)
 
     def _record_plan_gauges(self, rec: Recorder) -> None:
         if self.kernel == "plan":

@@ -110,6 +110,33 @@ class TestCommands:
         )
         assert warm == serial
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_accuracy_cache_rerun_emulates_nothing(
+        self, capsys, tmp_path, jobs
+    ):
+        cache = str(tmp_path / "runs.json")
+        argv = ("accuracy", "--panel", "rna", "--steps", "1",
+                "--jobs", jobs, "--cache", cache, *SCALE)
+        cold = run_cli(capsys, *argv)
+        assert main(list(argv)) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold
+        assert " 0 misses" in warm.err and " 0 hits" not in warm.err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_cache_rerun_emulates_nothing(self, capsys, tmp_path, jobs):
+        import json
+
+        cache = str(tmp_path / "runs.json")
+        argv = ("verify", "jacobi", "--config", "HY1", "--batch", "4",
+                "--jobs", jobs, "--cache", cache, *SCALE)
+        cold = run_cli(capsys, *argv)
+        warm = run_cli(capsys, *argv, "--telemetry", "json")
+        assert warm.startswith(cold.rstrip("\n"))
+        counters = json.loads(warm[warm.index("{"):])["counters"]
+        assert counters["sim/run_cache/misses"] == 0
+        assert counters["sim/run_cache/hits"] == 4
+
     def test_adaptive(self, capsys):
         out = run_cli(capsys, "adaptive", "jacobi", "--config", "DC", *SCALE)
         assert "speedup" in out

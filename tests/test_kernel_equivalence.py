@@ -86,8 +86,7 @@ def test_golden_equivalence(app_name, cluster_name, kernel):
     program = APPS[app_name].paper(SCALE).structure
     scalar, vector = _model_pair(cluster, program, kernel)
     for dist in _candidates(cluster, program):
-        _assert_close(scalar.predict_seconds(dist),
-                      vector.predict_seconds(dist))
+        _assert_close(scalar.predict(dist), vector.predict(dist))
 
 
 @pytest.mark.parametrize("kernel", ["numpy", "plan"])
@@ -99,8 +98,7 @@ def test_golden_equivalence_prefetch(app_name, cluster_name, kernel):
     program = APPS[app_name].paper(SCALE).prefetching()
     scalar, vector = _model_pair(cluster, program, kernel)
     for dist in _candidates(cluster, program):
-        _assert_close(scalar.predict_seconds(dist),
-                      vector.predict_seconds(dist))
+        _assert_close(scalar.predict(dist), vector.predict(dist))
 
 
 @pytest.mark.parametrize("kernel", ["numpy", "plan"])
@@ -115,8 +113,7 @@ def test_golden_equivalence_iteration_profile(cluster_name, kernel):
     program = base.with_iteration_profile(profile)
     scalar, vector = _model_pair(cluster, program, kernel)
     for dist in _candidates(cluster, program):
-        _assert_close(scalar.predict_seconds(dist),
-                      vector.predict_seconds(dist))
+        _assert_close(scalar.predict(dist), vector.predict(dist))
 
 
 def test_golden_equivalence_report_totals():
@@ -138,8 +135,8 @@ def test_predict_many_matches_serial_calls():
     program = JacobiApp.paper(SCALE).structure
     _, vector = _model_pair(cluster, program)
     cands = _candidates(cluster, program)
-    serial = [vector.predict_seconds(d) for d in cands]
-    assert vector.predict_many(cands) == serial
+    serial = [vector.predict(d) for d in cands]
+    assert vector.predict(cands, batch="serial") == serial
 
 
 def test_table_cache_does_not_change_results():
@@ -151,7 +148,7 @@ def test_table_cache_does_not_change_results():
     uncached = MhetaModel(program, cluster, inputs, kernel="numpy",
                           table_cache=0)
     for dist in _candidates(cluster, program):
-        assert cached.predict_seconds(dist) == uncached.predict_seconds(dist)
+        assert cached.predict(dist) == uncached.predict(dist)
     stats = cached.table_cache_stats
     assert stats["hits"] > 0
 
@@ -188,6 +185,6 @@ def test_random_distributions_agree(weights, cluster_name):
         np.array(weights), program.n_rows, minimum=1
     )
     dist = GenBlock(counts)
-    reference = scalar.predict_seconds(dist)
-    _assert_close(reference, vector.predict_seconds(dist))
-    _assert_close(reference, plan.predict_seconds(dist))
+    reference = scalar.predict(dist)
+    _assert_close(reference, vector.predict(dist))
+    _assert_close(reference, plan.predict(dist))

@@ -7,14 +7,15 @@ from repro.distribution import GenBlock, balanced, block
 from repro.experiments import build_model, fig9_accuracy, run_spectrum
 from repro.parallel import (
     ParallelRunner,
-    SweepCache,
+    RunCache,
     content_key,
-    predict_seconds_sharded,
+    predict_sharded,
     resolve_jobs,
     split_shards,
     verify_distributions,
 )
 from repro.apps import JacobiApp
+from repro.sim import RunResult
 
 SCALE = 0.02  # tiny problems: full protocol, milliseconds of wall time
 
@@ -79,11 +80,9 @@ class TestShards:
             balanced(cluster, program.n_rows),
             block(cluster, program.n_rows).moved(0, 1, 3),
         ]
-        serial = predict_seconds_sharded(model, dists, jobs=1)
-        assert serial == [
-            float(v) for v in model.predict_seconds_batch(dists)
-        ]
-        assert predict_seconds_sharded(model, dists, jobs=2) == serial
+        serial = predict_sharded(model, dists, jobs=1)
+        assert serial == [float(v) for v in model.predict(dists, batch=True)]
+        assert predict_sharded(model, dists, jobs=2) == serial
 
 
 class TestContentKey:
@@ -101,8 +100,8 @@ class TestContentKey:
         program = JacobiApp.paper(scale=SCALE).structure
         d1 = block(cluster, program.n_rows)
         d2 = balanced(cluster, program.n_rows)
-        k1 = SweepCache.key(cluster, program, d1)
-        k2 = SweepCache.key(cluster, program, d2)
+        k1 = RunCache.key(cluster, program, d1, program.iterations, None)
+        k2 = RunCache.key(cluster, program, d2, program.iterations, None)
         assert (k1 == k2) == (d1.counts == d2.counts)
 
     def test_program_scale_changes_key(self):
@@ -112,29 +111,47 @@ class TestContentKey:
         assert content_key(cluster, small) != content_key(cluster, big)
 
 
+def _run(counts, total):
+    """A stand-in emulated run (cache tests need no emulation)."""
+    return RunResult(
+        total_seconds=total,
+        per_node_seconds=[total] * len(counts),
+        iteration_ends=[[total] for _ in counts],
+        distribution=GenBlock(counts),
+        iterations=1,
+    )
+
+
+def _key(i):
+    return f"{i:064x}"
+
+
 class TestSweepCache:
+    """The run cache in its sweep role: the persistent, content-keyed
+    store that spectrum sweeps, accuracy panels and serve verify share."""
+
     def test_hit_and_miss_counters(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d = block(cluster, program.n_rows)
-        cache = SweepCache()
-        assert cache.lookup(cluster, program, d) is None
+        cache = RunCache()
+        assert cache.get(_key(1)) is None
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.store(cluster, program, d, 1.5, 1.4)
-        assert cache.lookup(cluster, program, d) == (1.5, 1.4)
+        cache.put(_key(1), _run((3, 4), 1.5))
+        assert cache.get(_key(1)).total_seconds == 1.5
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_disk_round_trip(self, tmp_path):
         cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d = block(cluster, program.n_rows)
-        path = tmp_path / "sweep-cache.json"
-        cache = SweepCache(path)
-        cache.store(cluster, program, d, 2.0, 2.1)
+        program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
+        path = tmp_path / "run-cache.json"
+        cache = RunCache(path=path)
+        cold = run_spectrum(cluster, program, steps_per_leg=1, run_cache=cache)
         cache.save()
-        reloaded = SweepCache(path)
-        assert len(reloaded) == 1
-        assert reloaded.lookup(cluster, program, d) == (2.0, 2.1)
+        reloaded = RunCache(path=path)
+        assert len(reloaded) == len(cache) > 0
+        warm = run_spectrum(
+            cluster, program, steps_per_leg=1, run_cache=reloaded
+        )
+        assert _points(warm) == _points(cold)
+        assert reloaded.misses == 0
 
     def test_perturbation_part_of_key(self):
         from repro.sim import PerturbationConfig
@@ -142,117 +159,87 @@ class TestSweepCache:
         cluster = config_dc()
         program = JacobiApp.paper(scale=SCALE).structure
         d = block(cluster, program.n_rows)
-        cache = SweepCache()
-        cache.store(cluster, program, d, 1.0, 1.0)
-        assert (
-            cache.lookup(cluster, program, d, PerturbationConfig.none())
-            is None
-        )
+        it = program.iterations
+        assert RunCache.key(
+            cluster, program, d, it, PerturbationConfig()
+        ) != RunCache.key(cluster, program, d, it, PerturbationConfig.none())
 
     def test_max_entries_bounds_store(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        rows = program.n_rows
-        n = len(cluster.nodes)
-        dists = [
-            GenBlock([rows - i * (n - 1)] + [i] * (n - 1)) for i in range(6)
-        ]
-        cache = SweepCache(max_entries=3)
-        for i, d in enumerate(dists):
-            cache.store(cluster, program, d, float(i), float(i))
+        cache = RunCache(max_entries=3)
+        for i in range(6):
+            cache.put(_key(i), _run((i, 6 - i), float(i)))
         assert len(cache) == 3
         # The three most recent survive; the oldest were evicted.
-        assert cache.lookup(cluster, program, dists[-1]) == (5.0, 5.0)
-        assert cache.lookup(cluster, program, dists[0]) is None
+        assert cache.get(_key(5)).total_seconds == 5.0
+        assert cache.get(_key(0)) is None
 
     def test_max_entries_round_trip_to_disk(self, tmp_path):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d = block(cluster, program.n_rows)
-        path = tmp_path / "bounded-cache.json"
-        cache = SweepCache(path, max_entries=8)
-        cache.store(cluster, program, d, 3.0, 3.5)
+        # Regression: a disk-backed cache used to persist only what was
+        # still in its in-memory LRU at save(), silently dropping runs.
+        path = tmp_path / "runs.json"
+        n = RunCache.DEFAULT_MAX_ENTRIES + 1
+        cache = RunCache(path=path)
+        for i in range(n):
+            cache.put(_key(i), _run((i, n - i), float(i)))
         cache.save()
-        reloaded = SweepCache(path, max_entries=8)
-        assert reloaded.lookup(cluster, program, d) == (3.0, 3.5)
+        reloaded = RunCache(path=path)
+        assert reloaded.loaded_from_disk == n
+        assert all(
+            reloaded.get(_key(i)).total_seconds == float(i) for i in range(n)
+        )
+        with pytest.raises(ValueError):
+            RunCache(max_entries=8, path=path)
 
     def test_interleaved_saves_merge_instead_of_clobbering(self, tmp_path):
         # Regression: save() used to overwrite the file with this
         # cache's view only, silently dropping entries a concurrent
         # process had written since load.  Two caches opened against
         # the same (empty) file stand in for two server processes.
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d1 = block(cluster, program.n_rows)
-        d2 = balanced(cluster, program.n_rows)
-        assert d1.counts != d2.counts
         path = tmp_path / "fleet-cache.json"
-        a = SweepCache(path)
-        b = SweepCache(path)
-        a.store(cluster, program, d1, 1.0, 1.1)
-        b.store(cluster, program, d2, 2.0, 2.2)
+        a = RunCache(path=path)
+        b = RunCache(path=path)
+        a.put(_key(1), _run((1, 2), 1.0))
+        b.put(_key(2), _run((2, 1), 2.0))
         a.save()
         b.save()  # must re-read and keep a's entry
-        merged = SweepCache(path)
-        assert merged.lookup(cluster, program, d1) == (1.0, 1.1)
-        assert merged.lookup(cluster, program, d2) == (2.0, 2.2)
+        merged = RunCache(path=path)
+        assert merged.get(_key(1)).total_seconds == 1.0
+        assert merged.get(_key(2)).total_seconds == 2.0
         # The atomic-replace path leaves no temp litter behind.
         assert [p.name for p in tmp_path.iterdir()] == ["fleet-cache.json"]
 
     def test_save_tolerates_corrupt_disk_file(self, tmp_path):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d = block(cluster, program.n_rows)
         path = tmp_path / "corrupt.json"
         path.write_text('{"half-written', encoding="utf-8")
-        cache = SweepCache()  # no path yet: loading would also tolerate it
-        cache.path = path
-        cache.store(cluster, program, d, 1.0, 1.0)
+        cache = RunCache(path=path)
+        assert cache.loaded_from_disk == 0
+        cache.put(_key(1), _run((1, 1), 1.0))
         cache.save()
-        assert SweepCache(path).lookup(cluster, program, d) == (1.0, 1.0)
+        assert RunCache(path=path).get(_key(1)).total_seconds == 1.0
 
     def test_bounded_counters_single_source_of_truth(self):
-        # Regression: a bounded SweepCache used to increment its own
-        # hit/miss counters *and* the backing LRU's, so `repro stats`
-        # could report two disagreeing figures for one cache.
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d1 = block(cluster, program.n_rows)
-        d2 = balanced(cluster, program.n_rows)
-        cache = SweepCache(max_entries=4)
-        cache.lookup(cluster, program, d1)        # miss
-        cache.store(cluster, program, d1, 1.0, 1.0)
-        cache.lookup(cluster, program, d1)        # hit
-        cache.lookup(cluster, program, d2)        # miss
+        # The backing LRU's counters are the only ones, so `repro stats`
+        # can never report two disagreeing figures for one cache.
+        cache = RunCache(max_entries=4)
+        cache.get(_key(1))                       # miss
+        cache.put(_key(1), _run((1, 1), 1.0))
+        cache.get(_key(1))                       # hit
+        cache.get(_key(2))                       # miss
         assert (cache.hits, cache.misses) == (1, 2)
         assert cache.hits == cache._store.hits
         assert cache.misses == cache._store.misses
-        assert cache.stats == {"size": 1, "hits": 1, "misses": 2}
+        stats = cache.stats
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 1, 2)
 
-    def test_unbounded_counters_unchanged(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d = block(cluster, program.n_rows)
-        cache = SweepCache()
-        cache.lookup(cluster, program, d)
-        cache.store(cluster, program, d, 1.0, 1.0)
-        cache.lookup(cluster, program, d)
+    def test_unbounded_counters_unchanged(self, tmp_path):
+        cache = RunCache(path=tmp_path / "runs.json")
+        cache.get(_key(1))
+        cache.put(_key(1), _run((1, 1), 1.0))
+        cache.get(_key(1))
         assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.stats == {"size": 1, "hits": 1, "misses": 1}
-
-
-class TestPredictMany:
-    def test_bit_identical_to_predict_seconds(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
-        model = build_model(cluster, program)
-        candidates = [
-            block(cluster, program.n_rows),
-            balanced(cluster, program.n_rows),
-            block(cluster, program.n_rows),  # shared row counts hit the memo
-        ]
-        batched = model.predict_many(candidates)
-        assert batched == [model.predict_seconds(d) for d in candidates]
+        stats = cache.stats
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 1, 1)
+        assert stats["evictions"] == 0
 
 
 def _points(run):
@@ -270,13 +257,13 @@ class TestSpectrumEquivalence:
     def test_run_spectrum_cache_bit_identical(self):
         cluster = config_dc()
         program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
-        cache = SweepCache()
-        cold = run_spectrum(cluster, program, steps_per_leg=2, cache=cache)
-        stored = len(cache)
-        warm = run_spectrum(cluster, program, steps_per_leg=2, cache=cache)
+        cache = RunCache()
+        cold = run_spectrum(cluster, program, steps_per_leg=2, run_cache=cache)
+        stored, misses = len(cache), cache.misses
+        warm = run_spectrum(cluster, program, steps_per_leg=2, run_cache=cache)
         assert _points(cold) == _points(warm)
         assert stored > 0
-        assert len(cache) == stored  # nothing re-emulated
+        assert cache.misses == misses  # nothing re-emulated
         assert cache.hits >= stored
 
     def test_fig9_jobs_bit_identical(self):
@@ -310,3 +297,29 @@ class TestVerifyDistributions:
         direct = [emulator.run(d).total_seconds for d in dists]
         assert verify_distributions(cluster, program, dists, jobs=1) == direct
         assert verify_distributions(cluster, program, dists, jobs=2) == direct
+
+    def test_jobs_runs_reach_the_callers_cache(self, tmp_path):
+        from repro.obs import Recorder
+
+        cluster = config_dc()
+        program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
+        d = block(cluster, program.n_rows)
+        dists = [d, balanced(cluster, program.n_rows), d.moved(0, 1, 3), d]
+        path = tmp_path / "runs.json"
+        first = RunCache(path=path)
+        cold = verify_distributions(
+            cluster, program, dists, jobs=2, run_cache=first
+        )
+        first.save()
+        second = RunCache(path=path)
+        assert second.loaded_from_disk == 3  # the duplicate emulated once
+        rec = Recorder()
+        warm = verify_distributions(
+            cluster, program, dists, jobs=2, run_cache=second, telemetry=rec
+        )
+        assert warm == cold == verify_distributions(
+            cluster, program, dists, jobs=1, run_cache=False
+        )
+        assert second.misses == 0
+        assert rec.counters["sim/run_cache/hits"] == len(dists)
+        assert rec.counters["sim/run_cache/misses"] == 0

@@ -1,6 +1,11 @@
 """RunCache semantics: frozen payloads, key memoisation, disk tier."""
 
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import JacobiApp
 from repro.cluster import table1_configs
@@ -25,7 +30,7 @@ class TestFrozenPayloads:
         store = RunCache()
         first = emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         pristine_total = first.total_seconds
         pristine_node0 = first.per_node_seconds[0]
@@ -35,7 +40,7 @@ class TestFrozenPayloads:
         first.iteration_ends[0][0] = -1.0
         second = emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         assert second.total_seconds == pristine_total
         assert second.per_node_seconds[0] == pristine_node0
@@ -43,7 +48,7 @@ class TestFrozenPayloads:
         # And hits hand out private copies, not shared state.
         third = emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         second.per_node_seconds[0] = -2.0
         assert third.per_node_seconds[0] == pristine_node0
@@ -51,9 +56,11 @@ class TestFrozenPayloads:
     def test_hit_returns_mutable_lists(self):
         cluster, program, d = _setup()
         store = RunCache()
-        emulate(cluster, program, d, perturbation=DETERMINISTIC, cache=store)
+        emulate(
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=store,
+        )
         hit = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=store,
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=store,
         )
         assert isinstance(hit.per_node_seconds, list)
         assert isinstance(hit.iteration_ends[0], list)
@@ -98,7 +105,7 @@ class TestDiskTier:
         path = tmp_path / "runs.json"
         store = RunCache(path=path)
         result = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=store,
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=store,
         )
         store.save()
         assert path.exists()
@@ -124,7 +131,7 @@ class TestDiskTier:
         path = tmp_path / "runs.json"
         a = RunCache(path=path)
         result = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=a,
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=a,
         )
         a.save()
         b = RunCache(path=path)
@@ -142,10 +149,68 @@ class TestDiskTier:
 
     def test_corrupt_file_ignored(self, tmp_path):
         path = tmp_path / "runs.json"
-        path.write_text("{not json")
-        store = RunCache(path=path)
-        assert len(store) == 0
-        assert store.loaded_from_disk == 0
+        for text in ("{not json", "[]"):
+            path.write_text(text)
+            store = RunCache(path=path)
+            assert len(store) == 0
+            assert store.loaded_from_disk == 0
 
     def test_save_without_path_is_noop(self):
         RunCache().save()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _entries(draw):
+    """What ``RunCache._serialize`` writes, for 1-3 nodes."""
+    n = draw(st.integers(1, 3))
+    return [
+        draw(_FINITE),
+        draw(st.lists(_FINITE, min_size=n, max_size=n)),
+        draw(st.lists(st.lists(_FINITE, max_size=3), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n)),
+        draw(st.integers(0, 50)),
+        draw(st.booleans()),
+    ]
+
+
+def _mutated(entry):
+    """A well-formed entry with one field swapped for arbitrary JSON."""
+    return st.tuples(st.integers(0, 5), _ANY_JSON).map(
+        lambda change: entry[:change[0]] + [change[1]] + entry[change[0] + 1:]
+    )
+
+
+_FILES = _ANY_JSON | st.dictionaries(
+    st.text(max_size=6),
+    _entries() | _entries().flatmap(_mutated) | _ANY_JSON,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_FILES)
+def test_any_json_file_loads_and_never_serves_a_malformed_entry(payload):
+    """Whatever JSON sits in the file, the constructor never raises, and
+    the cache either serves every entry exactly as written or treats
+    the file as empty."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.json"
+        path.write_text(json.dumps(payload))
+        store = RunCache(path=path)
+        if store.loaded_from_disk == 0:
+            assert len(store) == 0
+            return
+        assert isinstance(payload, dict)
+        assert store.loaded_from_disk == len(payload)
+        for key, entry in payload.items():
+            assert RunCache._serialize(store.get(key)) == entry

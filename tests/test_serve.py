@@ -22,7 +22,7 @@ from repro.exceptions import ServeError
 from repro.experiments import build_model
 from repro.obs import Recorder
 from repro.apps import JacobiApp, application_by_name
-from repro.parallel import SweepCache
+from repro.parallel import RunCache
 from repro.serve import (
     AsyncServeClient,
     MicroBatcher,
@@ -31,6 +31,7 @@ from repro.serve import (
     decode_message,
     encode_message,
 )
+from repro.sim import run_cache_keys
 
 SCALE = 0.02  # tiny problems: full protocol, milliseconds of wall time
 
@@ -346,11 +347,11 @@ class TestCoordinator:
     def test_verify_matches_emulator_and_fills_disk_tier(self, tmp_path):
         from repro.sim import emulate
 
-        path = tmp_path / "serve-sweep.json"
-        sweep = SweepCache(path)
+        path = tmp_path / "serve-runs.json"
         rec = Recorder()
         coordinator = ServeCoordinator(
-            window_seconds=0.005, sweep_cache=sweep, telemetry=rec
+            window_seconds=0.005, run_cache=RunCache(path=path),
+            telemetry=rec,
         )
         cluster = config_dc()
         program = application_by_name("jacobi", SCALE).structure
@@ -370,23 +371,26 @@ class TestCoordinator:
         actual = emulate(cluster, program, dist).total_seconds
         assert first["actual_seconds"] == actual
         assert first == second
+        # The repeat was served by the run cache, not re-emulated.
         assert rec.counters["serve/verify_emulated"] == 1
-        assert rec.counters["serve/verify_sweep_hits"] >= 0
+        assert rec.counters["sim/run_cache/misses"] == 1
+        assert rec.counters["sim/run_cache/hits"] == 1
         # aclose() saved the disk tier; a fresh process-alike sees it.
         assert path.exists()
-        assert SweepCache(path).lookup(cluster, program, dist) is not None
+        (key,) = run_cache_keys(cluster, program, [dist], dynamics=False)
+        assert RunCache(path=path).get(key).total_seconds == actual
 
     def test_verify_dynamics_bypasses_sweep_tier(self, tmp_path):
         """A dynamic-scenario verify matches the library emulation, never
-        reads or pollutes the static sweep cache, and rejects dynamics on
-        other ops."""
+        reads or pollutes the static entry of the run cache (its key
+        folds in the scenario), and rejects dynamics on other ops."""
         from repro.cluster import dynamics_scenario
         from repro.sim import emulate
 
-        sweep = SweepCache(tmp_path / "serve-sweep.json")
+        store = RunCache(path=tmp_path / "serve-runs.json")
         rec = Recorder()
         coordinator = ServeCoordinator(
-            window_seconds=0.01, sweep_cache=sweep, telemetry=rec
+            window_seconds=0.01, run_cache=store, telemetry=rec
         )
         cluster = config_dc()
         program = application_by_name("jacobi", SCALE).structure
@@ -424,10 +428,12 @@ class TestCoordinator:
         assert drifted["actual_seconds"] != static["actual_seconds"]
         assert isinstance(bad, ServeError)
         assert rec.counters["serve/verify_dynamic"] == 1
-        # The static sweep tier holds only the static actual.
-        pair = sweep.lookup(cluster, program, dist)
-        assert pair is not None
-        assert pair[0] == static["actual_seconds"]
+        # Static and dynamic runs sit under their own keys.
+        (static_key,) = run_cache_keys(cluster, program, [dist])
+        (drift_key,) = run_cache_keys(cluster, program, [dist], dynamics=spec)
+        assert len(store) == 2
+        assert store.get(static_key).total_seconds == static["actual_seconds"]
+        assert store.get(drift_key).total_seconds == drifted["actual_seconds"]
 
     def test_bad_query_errors_do_not_poison_the_round(self):
         coordinator = ServeCoordinator(window_seconds=0.02)
@@ -558,7 +564,7 @@ class TestCoordinator:
 
 
 # ---------------------------------------------------------------------------
-# two server processes sharing the on-disk sweep tier
+# two server processes sharing the on-disk run cache
 
 
 class TestFleetSharedSweepCache:
@@ -566,11 +572,14 @@ class TestFleetSharedSweepCache:
         path = tmp_path / "shared.json"
         script = (
             "import sys\n"
-            "from repro.parallel import SweepCache\n"
+            "from repro.parallel import RunCache\n"
             "from repro.distribution import GenBlock\n"
+            "from repro.sim import RunResult\n"
             "tag, value = sys.argv[1], float(sys.argv[2])\n"
-            f"cache = SweepCache({str(path)!r})\n"
-            "cache.store('cluster', tag, GenBlock([5, 3]), value, value)\n"
+            f"cache = RunCache(path={str(path)!r})\n"
+            "run = RunResult(value, [value] * 2, [[value]] * 2,\n"
+            "                GenBlock([5, 3]), 1)\n"
+            "cache.put(tag, run)\n"
             "input()  # hold: both processes have loaded before either saves\n"
             "cache.save()\n"
             "print('saved')\n"
@@ -595,9 +604,9 @@ class TestFleetSharedSweepCache:
             out, _ = proc.communicate(timeout=60)
             assert proc.returncode == 0, out
             assert "saved" in out
-        merged = SweepCache(path)
-        assert merged.lookup("cluster", "a", GenBlock([5, 3])) == (1.0, 1.0)
-        assert merged.lookup("cluster", "b", GenBlock([5, 3])) == (2.0, 2.0)
+        merged = RunCache(path=path)
+        assert merged.get("a").total_seconds == 1.0
+        assert merged.get("b").total_seconds == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +618,7 @@ class TestServeCli:
         from repro.serve import ServeClient
 
         sock = str(tmp_path / "advisor.sock")
-        sweep_path = tmp_path / "advisor-sweeps.json"
+        cache_path = tmp_path / "advisor-runs.json"
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -617,7 +626,7 @@ class TestServeCli:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--socket", sock, "--window-ms", "1",
-                "--sweep-cache", str(sweep_path),
+                "--cache", str(cache_path),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -640,15 +649,14 @@ class TestServeCli:
                     "jacobi", config="DC", scale=SCALE, dist="blk"
                 )
                 assert verified["actual_seconds"] > 0
-                # Regression: --sweep-cache used to be dropped on the
-                # floor (the helper read the sweep command's --cache
-                # flag), so the disk tier silently never existed.
-                assert client.stats()["sweep_cache"]["size"] == 1
+                # Regression: the serve cache flag used to be dropped on
+                # the floor, so the disk tier silently never existed.
+                assert client.stats()["run_cache"]["size"] == 1
                 client.shutdown()
             server.wait(timeout=30)
             assert server.returncode == 0
-            # The verify pair was persisted at shutdown.
-            assert len(SweepCache(sweep_path)) == 1
+            # The verified run was persisted at shutdown.
+            assert len(RunCache(path=cache_path)) == 1
         finally:
             if server.poll() is None:  # pragma: no cover - cleanup path
                 server.send_signal(signal.SIGKILL)
