@@ -1,9 +1,9 @@
 """Bench N1: MHETA evaluation cost (paper: ~5.4 ms per distribution).
 
 Two kernels share the model: the ``scalar`` reference (the seed
-implementation, per-tile Python loops) and the vectorised ``numpy``
-kernel (batched stage tables, max-plus section matrices, persistent
-``(node, rows)`` table cache).  This benchmark measures both —
+implementation, per-tile Python loops) and the compiled ``plan`` kernel
+(closed-form stage tables in a row store, max-plus iteration matrices,
+one vectorised steady-state walk).  This benchmark measures both —
 *interleaved*, alternating kernels within each repetition so host noise
 hits them equally — and writes the machine-readable scoreboard
 ``BENCH_model_speed.json`` at the repo root:
@@ -11,7 +11,7 @@ hits them equally — and writes the machine-readable scoreboard
 * ``evaluations_per_second`` for each kernel/cache configuration,
   through the serial call and through ``predict(batch=True)``,
 * wall-time of a batched-GBS search per kernel,
-* the headline speedups (numpy, cached — the default configuration —
+* the headline speedups (plan, cached — the default configuration —
   over the scalar seed behaviour); the *search-level* speedup is the
   hard acceptance gate, asserted >= 3x.
 """
@@ -34,7 +34,7 @@ from repro.apps import JacobiApp
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_model_speed.json"
 
-#: Acceptance floor: the default numpy kernel must carry a
+#: Acceptance floor: the default plan kernel must carry a
 #: ``predict``-driven search at least this much faster than the
 #: scalar seed behaviour (uncached reference path).
 REQUIRED_SPEEDUP = 3.0
@@ -50,13 +50,11 @@ REQUIRED_PLAN_SPEEDUP = 8.0
 REFERENCE_NUMPY_CACHED_MS = 0.05790134706402052
 
 #: kernel/cache configurations measured.  ``scalar-uncached`` is the
-#: seed behaviour; ``numpy-cached`` is the previous default;
-#: ``plan-cached`` is the compiled evaluation plan.
+#: seed behaviour; ``plan-cached`` is the compiled evaluation plan, the
+#: default.
 CONFIGS = {
     "scalar-uncached": dict(kernel="scalar", table_cache=0),
     "scalar-cached": dict(kernel="scalar"),
-    "numpy-uncached": dict(kernel="numpy", table_cache=0),
-    "numpy-cached": dict(kernel="numpy"),
     "plan-cached": dict(kernel="plan"),
 }
 
@@ -109,7 +107,7 @@ def _batched_throughput(models, candidates, reps=30, burst=3):
 
     Each round times a short *burst* of consecutive calls per config:
     a single interleaved call mostly measures the cache refill forced
-    by the other four configs, which for a kernel an order of
+    by the other configs, which for a kernel an order of
     magnitude faster than the eviction interval drowns the kernel
     itself.  Search loops call the kernel back to back, so the burst
     is the representative shape; interleaving between bursts still
@@ -210,19 +208,16 @@ def test_kernel_throughput_and_search(benchmark, save_result):
     )
     batched = _batched_throughput(models, candidates)
     search = _search_walltime(cluster, program, models)
-    telemetry = _telemetry_overhead(models["numpy-cached"], candidates)
+    telemetry = _telemetry_overhead(models["plan-cached"], candidates)
 
     from repro.core.plan import numba_active, plan_cache_stats
 
     baseline = throughput["scalar-uncached"]["evaluations_per_second"]
-    default = throughput["numpy-cached"]["evaluations_per_second"]
+    default = throughput["plan-cached"]["evaluations_per_second"]
     eval_speedup = default / baseline
-    batch_speedup = (
-        batched["numpy-cached"]["evaluations_per_second"] / baseline
-    )
     search_speedup = (
         search["scalar-uncached"]["mean_seconds"]
-        / search["numpy-cached"]["mean_seconds"]
+        / search["plan-cached"]["mean_seconds"]
     )
     plan_vs_scalar = (
         batched["plan-cached"]["evaluations_per_second"]
@@ -241,9 +236,8 @@ def test_kernel_throughput_and_search(benchmark, save_result):
         "batched_throughput": batched,
         "search": search,
         "speedup": {
-            "evaluations_numpy_cached_vs_scalar_uncached": eval_speedup,
-            "batched_numpy_cached_vs_scalar_uncached": batch_speedup,
-            "search_numpy_cached_vs_scalar_uncached": search_speedup,
+            "evaluations_plan_cached_vs_scalar_uncached": eval_speedup,
+            "search_plan_cached_vs_scalar_uncached": search_speedup,
             "required": REQUIRED_SPEEDUP,
             "batched_plan_vs_scalar_uncached": plan_vs_scalar,
             "batched_plan_vs_reference_numpy_cached": plan_vs_reference,
@@ -251,7 +245,7 @@ def test_kernel_throughput_and_search(benchmark, save_result):
             "plan_required_vs_scalar": REQUIRED_PLAN_SPEEDUP,
         },
         "telemetry_overhead": telemetry,
-        "table_cache_stats": models["numpy-cached"].table_cache_stats,
+        "table_cache_stats": models["plan-cached"].table_cache_stats,
         "plan_cache_stats": plan_cache_stats(),
         "plan_numba_active": numba_active(),
     }
@@ -274,11 +268,11 @@ def test_kernel_throughput_and_search(benchmark, save_result):
         )
     lines.append(
         f"  GBS search: scalar {search['scalar-uncached']['mean_seconds']*1e3:.1f} ms "
-        f"-> numpy {search['numpy-cached']['mean_seconds']*1e3:.1f} ms"
+        f"-> plan {search['plan-cached']['mean_seconds']*1e3:.1f} ms"
     )
     lines.append(
         f"  speedup: {eval_speedup:.2f}x evaluations, "
-        f"{batch_speedup:.2f}x batched, {search_speedup:.2f}x search "
+        f"{search_speedup:.2f}x search "
         f"(search required >= {REQUIRED_SPEEDUP:.0f}x)"
     )
     lines.append(
@@ -302,7 +296,7 @@ def test_kernel_throughput_and_search(benchmark, save_result):
     assert search_speedup >= REQUIRED_SPEEDUP, (
         f"batched search speedup {search_speedup:.2f}x below required "
         f"{REQUIRED_SPEEDUP}x (evals {eval_speedup:.2f}x, "
-        f"batched {batch_speedup:.2f}x)"
+        f"batched plan {plan_vs_scalar:.2f}x)"
     )
     # The compiled plan must hold its floor in whichever mode this run
     # is in (numba leg or pure-numpy fallback leg).

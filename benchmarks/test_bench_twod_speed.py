@@ -2,19 +2,18 @@
 
 The paper declined 2-D distributions because "the search space increases
 greatly"; the batched/plan 2-D kernel exists to make that search space
-affordable.  This benchmark measures the three kernels — the ``scalar``
-per-rank reference loop, the vectorized ``numpy`` kernel, and the
-compiled ``plan`` kernel — *interleaved* so host noise hits them
-equally, and writes the machine-readable scoreboard
-``BENCH_twod_speed.json`` at the repo root:
+affordable.  This benchmark measures the two kernels — the ``scalar``
+per-rank reference loop and the compiled ``plan`` kernel —
+*interleaved* so host noise hits them equally, and writes the
+machine-readable scoreboard ``BENCH_twod_speed.json`` at the repo root:
 
 * ``evaluations_per_second`` per kernel, serial and through
   ``predict(batch=True)``,
 * the golden-equivalence figure (worst relative disagreement of the
-  batched kernels against the scalar reference; must be <= 1e-12),
-* the headline batched speedups — the hard CI gate asserts the
-  batched/plan kernel beats the scalar loop by >= 5x in whichever
-  numba mode this run is in (the recorded target is 10x),
+  batched plan kernel against the scalar reference; must be <= 1e-12),
+* the headline batched speedup — the hard CI gate asserts the batched
+  plan kernel beats the scalar loop by >= 5x in whichever numba mode
+  this run is in (the recorded target is 10x),
 * a cluster configuration where the best genuinely-2-D layout beats
   the best 1-D strip spectrum — the payoff the kernel speed pays for.
 """
@@ -52,10 +51,10 @@ REQUIRED_BATCHED_SPEEDUP = 5.0
 #: The headline target the scoreboard records against.
 TARGET_BATCHED_SPEEDUP = 10.0
 
-#: Golden equivalence bar for the batched kernels vs the scalar loop.
+#: Golden equivalence bar for the batched plan vs the scalar loop.
 GOLDEN_REL_TOL = 1e-12
 
-CONFIGS = ("scalar", "numpy", "plan")
+CONFIGS = ("scalar", "plan")
 
 
 def _setup():
@@ -145,14 +144,11 @@ def _batched_throughput(models, candidates, reps=10, burst=3):
 
 
 def _golden_equivalence(models, candidates):
-    """Worst relative disagreement of each batched kernel against the
-    scalar reference, over the full candidate set."""
+    """Worst relative disagreement of the batched plan kernel against
+    the scalar reference, over the full candidate set."""
     want = np.array([models["scalar"].predict(d) for d in candidates])
-    out = {}
-    for label in ("numpy", "plan"):
-        got = np.asarray(models[label].predict(candidates, batch=True))
-        out[label] = float(np.max(np.abs(got - want) / np.abs(want)))
-    return out
+    got = np.asarray(models["plan"].predict(candidates, batch=True))
+    return {"plan": float(np.max(np.abs(got - want) / np.abs(want)))}
 
 
 def _twod_beats_one_d():
@@ -217,7 +213,6 @@ def test_twod_kernel_throughput(benchmark, save_result):
     from repro.core.plan import numba_active, plan_cache_stats
 
     scalar = batched["scalar"]["evaluations_per_second"]
-    numpy_speedup = batched["numpy"]["evaluations_per_second"] / scalar
     plan_speedup = batched["plan"]["evaluations_per_second"] / scalar
     serial_plan_speedup = (
         throughput["plan"]["evaluations_per_second"]
@@ -236,7 +231,6 @@ def test_twod_kernel_throughput(benchmark, save_result):
         "golden_equivalence_rel": golden,
         "golden_required_rel": GOLDEN_REL_TOL,
         "speedup": {
-            "batched_numpy_vs_scalar": numpy_speedup,
             "batched_plan_vs_scalar": plan_speedup,
             "serial_plan_vs_scalar": serial_plan_speedup,
             "required": REQUIRED_BATCHED_SPEEDUP,
@@ -264,15 +258,14 @@ def test_twod_kernel_throughput(benchmark, save_result):
             f"({brow['mean_ms']:.3f} ms)"
         )
     lines.append(
-        f"  batched speedup vs scalar: numpy {numpy_speedup:.1f}x, "
-        f"plan {plan_speedup:.1f}x "
+        f"  batched speedup vs scalar: plan {plan_speedup:.1f}x "
         f"(required >= {REQUIRED_BATCHED_SPEEDUP:.0f}x, "
         f"target {TARGET_BATCHED_SPEEDUP:.0f}x; "
         f"numba {'on' if numba_active() else 'off'})"
     )
     lines.append(
-        f"  golden equivalence: numpy {golden['numpy']:.2e}, "
-        f"plan {golden['plan']:.2e} (required <= {GOLDEN_REL_TOL:.0e})"
+        f"  golden equivalence: plan {golden['plan']:.2e} "
+        f"(required <= {GOLDEN_REL_TOL:.0e})"
     )
     lines.append(
         f"  payoff on {payoff['cluster']}: best 2-D "
@@ -283,7 +276,7 @@ def test_twod_kernel_throughput(benchmark, save_result):
     )
     save_result("twod_speed", "\n".join(lines))
 
-    # The batched kernels must be *exact* (to fp tolerance) ...
+    # The batched kernel must be *exact* (to fp tolerance) ...
     for label, worst in golden.items():
         assert worst <= GOLDEN_REL_TOL, (
             f"{label} kernel disagrees with the scalar reference by "

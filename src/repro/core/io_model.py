@@ -345,11 +345,11 @@ class StageTimeModel:
     # Every block of one tile is full-sized except possibly the last, so
     # the per-tile streaming loops collapse to closed forms in the number
     # of full blocks and the remainder — which makes all tiles of a
-    # section one set of array expressions.  These methods are the
-    # ``kernel="numpy"`` evaluation path; they agree with the scalar
-    # reference to rounding (associativity of the sums differs, nothing
-    # else), which the golden equivalence suite pins to <= 1e-12
-    # relative error.
+    # section one set of array expressions.  These methods fill the
+    # compiled plan's table store (``kernel="plan"``); they agree with
+    # the scalar reference to rounding (associativity of the sums
+    # differs, nothing else), which the golden equivalence suite pins
+    # to <= 1e-12 relative error.
 
     def section_tile_rows(self, rows: int, tiles: int) -> np.ndarray:
         """Row counts of every tile at once (the vectorised counterpart

@@ -14,13 +14,21 @@ Two evaluation kernels produce those clocks:
   per-stage, per-block Python loops, kept exactly as originally
   written so the fast path always has a bit-stable baseline to be
   checked against.
-* ``kernel="numpy"`` (default) — the vectorised kernel: each node's
-  tiles x stages become closed-form array expressions
-  (:meth:`StageTimeModel.section_tile_times`) and the communication
-  timeline advances ``np.ndarray`` clocks
-  (:meth:`SectionTimeline.advance_arrays`).  It agrees with the scalar
-  reference to rounding (<= 1e-12 relative, pinned by the golden
-  equivalence suite in ``tests/test_kernel_equivalence.py``).
+* ``kernel="plan"`` (default) — the model's compiled
+  :class:`~repro.core.plan.EvaluationPlan`: each node's tiles x stages
+  become closed-form array expressions
+  (:meth:`StageTimeModel.section_tile_times`) in a flat row store, the
+  sections fold into max-plus iteration matrices, and one vectorised
+  steady-state walk scores single candidates and whole populations
+  alike.  It agrees with the scalar reference to rounding (<= 1e-12
+  relative, pinned by the golden equivalence suites in
+  ``tests/test_kernel_equivalence.py`` and
+  ``tests/test_batch_equivalence.py``).
+
+Phase reports (``report=True``) and programs with an
+``iteration_profile`` (no steady state to extrapolate) take the scalar
+reference walk on either kernel; each iteration-profile fallback of a
+plan model is counted as ``model/scalar_fallbacks``.
 
 The per-node stage tables depend only on ``(node, rows)`` — not on what
 the *other* nodes were assigned — so a bounded LRU inside the model
@@ -38,18 +46,13 @@ needs them (Section 4.2.1).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
-from repro.core.comm import (
-    SectionTimeline,
-    maxplus_compose,
-    maxplus_compose_batch,
-)
+from repro.core.comm import SectionTimeline
 from repro.core.io_model import StageTimeModel
 from repro.core.oracle import OutOfCoreOracle
 from repro.core.report import (
@@ -67,12 +70,10 @@ from repro.util.lru import LRUCache
 
 __all__ = ["MhetaModel", "KERNELS", "DEFAULT_TABLE_CACHE_ENTRIES"]
 
-#: Selectable evaluation kernels.  ``"plan"`` evaluates through a
-#: compiled :class:`repro.core.plan.EvaluationPlan` (one-time lowering
-#: of the (app structure, cluster shape) triple, JIT-compiled with
-#: numba when available) and falls back to the numpy machinery for
-#: reports and iteration-profile programs.
-KERNELS = ("numpy", "scalar", "plan")
+#: Selectable evaluation kernels: the scalar reference and the compiled
+#: :class:`repro.core.plan.EvaluationPlan` (the default; its walk is
+#: JIT-compiled with numba when available).
+KERNELS = ("scalar", "plan")
 
 #: Default bound of the per-``(node, rows)`` table cache.  Generous for
 #: any search (a 200-evaluation sweep over 8 nodes touches at most 1600
@@ -151,29 +152,80 @@ def _pattern_message_counts(
     raise ModelError(f"unknown communication pattern: {pattern}")
 
 
+def _source_read(
+    stage_model: StageTimeModel, n: int, section: ParallelSection, plan
+) -> float:
+    """Disk read charged for materialising one outgoing message."""
+    src = section.comm.source_variable
+    if (
+        src is not None
+        and section.comm.pattern is CommPattern.NEAREST_NEIGHBOR
+    ):
+        placement = plan.placements.get(src)
+        if placement is not None and not placement.in_core:
+            return stage_model.read_block_seconds(
+                n, src, section.comm.message_bytes
+            )
+    return 0.0
+
+
+def _node_tables_numpy(
+    stage_model: StageTimeModel,
+    sections: Sequence[ParallelSection],
+    offsets: Sequence[int],
+    n: int,
+    rows: int,
+    plan,
+):
+    """One node's stage tables as arrays — what the compiled plan's row
+    store is filled from: one array kernel call per section instead of
+    the reference path's tiles x stages Python loops.  Sections are
+    packed along one flat tile axis (section ``si`` owns columns
+    ``offsets[si]:offsets[si + 1]``).
+
+    Single-tile sections go through the scalar per-stage accumulation:
+    the closed-form array kernel only amortises its call overhead across
+    many tiles, and the scalar path is exact against the reference by
+    construction.
+    """
+    totals = np.empty(offsets[-1])
+    computes = np.empty(offsets[-1])
+    source_read = np.empty(len(sections))
+    for si, section in enumerate(sections):
+        lo, hi = offsets[si], offsets[si + 1]
+        if section.tiles == 1:
+            c_sum = 0.0
+            t_sum = 0.0
+            for stage in section.stages:
+                st = stage_model.tile_stage_times(
+                    n, rows, section, stage, rows, plan
+                )
+                c_sum += st.compute_seconds
+                t_sum += st.total
+            totals[lo] = t_sum
+            computes[lo] = c_sum
+        else:
+            t, c = stage_model.section_tile_times(n, rows, section, plan)
+            totals[lo:hi] = t
+            computes[lo:hi] = c
+        source_read[si] = _source_read(stage_model, n, section, plan)
+    # Cached entries are shared across predictions; freeze them.
+    totals.setflags(write=False)
+    computes.setflags(write=False)
+    source_read.setflags(write=False)
+    return (totals, computes, source_read)
+
+
 @dataclass(frozen=True)
 class _SectionTables:
-    """Precomputed per-section evaluation tables for one distribution.
-
-    ``tile_totals``/``tile_compute`` are per-node, per-tile stage-time
-    tables: nested lists for the scalar kernel, ``(P, tiles)`` float64
-    arrays for the numpy kernel (with ``tile_sums`` the per-node section
-    totals, precomputed so steady-state walks skip the reduction).
-    For the numpy kernel, exactly one of ``matrix``/``advance`` is set:
-    ``matrix`` is the section's max-plus matrix
-    (:meth:`SectionTimeline.compile_matrix`), which the steady-state
-    walk composes with its neighbours into one per-iteration matrix;
-    ``advance`` is the compiled replay closure for sections with no
-    clock-independent matrix (pipelines).
-    """
+    """Precomputed per-section evaluation tables for one distribution
+    (reference walk): per-node, per-tile stage-time lists, total and
+    compute-only, plus each node's message source-read cost."""
 
     section: ParallelSection
-    tile_totals: Sequence
-    tile_compute: Sequence
-    source_read: Sequence
-    tile_sums: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
-    advance: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    tile_totals: Sequence[List[float]]
+    tile_compute: Sequence[List[float]]
+    source_read: Sequence[float]
 
 
 class MhetaModel:
@@ -186,13 +238,13 @@ class MhetaModel:
         capacities (or the cluster they come from), and the measured
         internal MHETA file.
     kernel:
-        ``"numpy"`` (vectorised, default) or ``"scalar"`` (the reference
-        implementation).
+        ``"plan"`` (the compiled evaluation plan, default) or
+        ``"scalar"`` (the reference implementation).
     table_cache:
         Bound of the persistent ``(node, rows) -> tables`` LRU shared by
         every prediction this model makes.  ``0`` disables cross-call
-        reuse (each ``predict(batch=...)`` call still shares a transient
-        bounded memo).
+        reuse (each ``predict(batch="serial")`` call still shares a
+        transient bounded memo).
     """
 
     def __init__(
@@ -200,7 +252,7 @@ class MhetaModel:
         program: ProgramStructure,
         memories: Union[ClusterSpec, Sequence[int]],
         inputs: MhetaInputs,
-        kernel: str = "numpy",
+        kernel: str = "plan",
         table_cache: int = DEFAULT_TABLE_CACHE_ENTRIES,
     ) -> None:
         if isinstance(memories, ClusterSpec):
@@ -232,18 +284,18 @@ class MhetaModel:
         self._tables_cache: Optional[LRUCache] = (
             LRUCache(table_cache) if table_cache > 0 else None
         )
-        # Tile-axis layout of the flattened per-node tables the numpy
-        # kernel caches: section ``si`` owns columns
+        # Tile-axis layout of the flattened per-node array tables
+        # (_node_tables_numpy): section ``si`` owns columns
         # ``offsets[si]:offsets[si + 1]``.
         tiles = [s.tiles for s in program.sections]
         self._tile_offsets = [0]
         for t in tiles:
             self._tile_offsets.append(self._tile_offsets[-1] + t)
-        self._total_tiles = self._tile_offsets[-1]
-        # Compiled evaluation plan (kernel="plan"): resolved lazily via
-        # ensure_plan / the process-wide plan LRU, dropped on pickling.
+        # Compiled evaluation plan (kernel="plan"): built lazily by
+        # ensure_plan, owned by this model alone (the plan holds no
+        # reference back, so both are freed by refcount together), and
+        # dropped on pickling.
         self._plan = None
-        self._fingerprint: Optional[str] = None
 
     @property
     def n_nodes(self) -> int:
@@ -257,74 +309,22 @@ class MhetaModel:
                     "evictions": 0}
         return self._tables_cache.stats
 
-    # -- compiled evaluation plans ----------------------------------------------
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the (app structure, cluster shape, kernel
-        options) triple — the key under which compiled plans are shared
-        process-wide.  Two models with equal fingerprints produce
-        identical predictions, so they may share one plan."""
-        if self._fingerprint is None:
-            p = self.program
-            h = hashlib.sha256()
-            h.update(
-                repr(
-                    (
-                        p.name,
-                        p.n_rows,
-                        p.iterations,
-                        p.prefetch,
-                        tuple(
-                            (
-                                s.name,
-                                s.tiles,
-                                repr(s.stages),
-                                s.comm.pattern.value,
-                                s.comm.message_bytes,
-                                s.comm.source_variable,
-                            )
-                            for s in p.sections
-                        ),
-                        repr(p.variables),
-                        tuple(self.oracle._memory),
-                    )
-                ).encode()
-            )
-            if p.row_weights is not None:
-                h.update(np.ascontiguousarray(p.row_weights).tobytes())
-            if p.iteration_profile is not None:
-                h.update(
-                    np.ascontiguousarray(p.iteration_profile).tobytes()
-                )
-            h.update(self.inputs.to_json().encode())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+    # -- compiled evaluation plan -----------------------------------------------
 
     def ensure_plan(self, telemetry: Optional[Recorder] = None):
-        """Resolve this model's compiled evaluation plan (a plan-LRU
-        hit, or a fresh compile under ``span/plan/compile``).  Public so
-        long-lived holders — the serve coordinator's resident models —
-        can warm the plan ahead of the first scoring pass."""
+        """This model's compiled evaluation plan, compiled on first use
+        (under ``span/plan/compile``).  Public so long-lived holders —
+        the serve coordinator's resident models — can warm the plan
+        ahead of the first scoring pass."""
         if self._plan is None:
-            from repro.core.plan import get_plan
+            from repro.core.plan import EvaluationPlan, compile_plan
 
-            self._plan = get_plan(self, telemetry=telemetry)
+            self._plan = compile_plan(lambda: EvaluationPlan(self), telemetry)
         return self._plan
 
-    def release_plan(self) -> None:
-        """Drop this model's compiled plan from the process-wide plan
-        LRU (resident-model eviction must not leak plans across cache
-        tiers)."""
-        if self._plan is not None:
-            from repro.core.plan import discard_plan
-
-            discard_plan(self._plan.fingerprint)
-            self._plan = None
-
     def __getstate__(self) -> dict:
-        # Plans hold closures and scratch buffers; workers recompile (or
-        # hit their own process's plan LRU) lazily after unpickling.
+        # Plans hold closures and scratch buffers; workers recompile
+        # lazily after unpickling.
         state = self.__dict__.copy()
         state["_plan"] = None
         return state
@@ -354,14 +354,17 @@ class MhetaModel:
         ``predict(dists, batch="serial")``
             a ``List[float]`` from the bit-identical serial loop
             (what spectrum sweeps use: exact per-candidate equality
-            with single calls, tables shared through the LRU).
+            with single calls).
 
-        ``telemetry`` takes a :class:`repro.obs.Recorder`; with
-        ``report=True`` it additionally records the per-node phase
+        ``iterations`` overrides the program's iteration count and must
+        be >= 1.  ``telemetry`` takes a :class:`repro.obs.Recorder`;
+        with ``report=True`` it additionally records the per-node phase
         breakdown (comp / sync-I/O / prefetch-I/O / send+recv overhead /
         blocked) whose components sum exactly to each node's predicted
         total.  ``telemetry=None`` (default) costs one truthiness check.
         """
+        if iterations is not None and iterations < 1:
+            raise ModelError(f"iterations must be >= 1, got {iterations}")
         if batch:
             if report:
                 raise ModelError(
@@ -380,7 +383,7 @@ class MhetaModel:
                 out = [
                     self._predict(
                         d, iterations, want_report=False,
-                        table_cache=transient,
+                        table_cache=transient, telemetry=telemetry,
                     )
                     for d in dists
                 ]
@@ -410,17 +413,9 @@ class MhetaModel:
         rec.set("model/table_cache/misses", stats["misses"])
         rec.set("model/table_cache/evictions", stats["evictions"])
         if self.kernel == "plan":
-            from repro.core.plan import plan_cache_stats
+            from repro.core.plan import record_plan_gauges
 
-            pstats = plan_cache_stats()
-            rec.set("model/plan_cache/size", pstats["size"])
-            rec.set("model/plan_cache/hits", pstats["hits"])
-            rec.set("model/plan_cache/misses", pstats["misses"])
-            rec.set("model/plan_cache/compiles", pstats["compiles"])
-            rec.set(
-                "model/plan_cache/compile_seconds",
-                pstats["compile_seconds"],
-            )
+            record_plan_gauges(rec, 0 if self._plan is None else 1)
 
     def _batch_counts(self, dists: Sequence[GenBlock]) -> np.ndarray:
         """Stack and validate candidate row counts as ``(B, P)`` int64.
@@ -470,197 +465,35 @@ class MhetaModel:
         """Score a whole candidate population in one vectorized pass.
 
         The candidates' GEN_BLOCK row counts stack into a ``(B, P)``
-        matrix; each distinct ``(node, rows)`` pair across the *whole
-        batch* is looked up (or built) in the shared table LRU exactly
-        once; and the numpy kernel — stage-table assembly, max-plus
-        section matrices and their composition, the steady-state clock
-        walk — evaluates every section over the candidate axis in a
-        single array pass instead of once per candidate.  Candidates
-        never mix (no reduction crosses the batch axis), so entry ``b``
-        agrees with ``predict(distributions[b])`` to within the
-        kernel contract (<= 1e-12 relative; pinned by
+        matrix that the compiled plan scores in one gather, one matrix
+        build and one steady-state walk over the candidate axis.
+        Candidates never mix (no reduction crosses the batch axis), so
+        entry ``b`` agrees with ``predict(distributions[b])`` (pinned by
         ``tests/test_batch_equivalence.py``).
 
-        ``kernel="scalar"`` models fall back to a loop of scalar
-        predictions, preserving the golden-equivalence contract
-        bit-for-bit; iteration-profile programs (no steady state to
-        extrapolate) loop the per-candidate numpy walk.
+        ``kernel="scalar"`` models and iteration-profile programs (no
+        steady state to extrapolate) loop the scalar reference walk.
         """
         dists = list(distributions)
         if not dists:
             return np.empty(0)
-        P = self.n_nodes
-        if (
-            self.kernel == "plan"
-            and self.program.iteration_profile is None
-        ):
-            counts = self._batch_counts(dists)
-            n_iter = (
-                iterations
-                if iterations is not None
-                else self.program.iterations
-            )
-            plan = self._plan
-            if plan is None:
-                plan = self.ensure_plan(telemetry)
-            return plan.execute(counts, n_iter)
-        for d in dists:
-            if d.n_nodes != P:
-                raise ModelError(
-                    "distribution does not match the model's nodes"
-                )
-            if d.n_rows != self.program.n_rows:
-                raise ModelError(
-                    "distribution does not cover the program's rows"
-                )
-        if (
-            self.kernel != "numpy"
-            or self.program.iteration_profile is not None
-        ):
+        if self.kernel == "scalar" or self.program.iteration_profile is not None:
             return np.array(
                 [
-                    self._predict(d, iterations, want_report=False)
+                    self._predict(
+                        d, iterations, want_report=False, telemetry=telemetry
+                    )
                     for d in dists
                 ]
             )
-        n_iter = (
-            iterations if iterations is not None else self.program.iterations
-        )
-        B = len(dists)
-        counts = np.array([d.counts for d in dists], dtype=np.int64)
-        cache = self._tables_cache
-        if cache is None:
-            # Same transient-bound policy as the serial batch: the batch
-            # shares tables without growing memory past the default cap.
-            cache = LRUCache(DEFAULT_TABLE_CACHE_ENTRIES)
-        sections = self.program.sections
-        all_totals = np.empty((B, P, self._total_tiles))
-        all_source = np.empty((B, P, len(sections)))
-        for n in range(P):
-            uniq, inverse = np.unique(counts[:, n], return_inverse=True)
-            node_totals = np.empty((len(uniq), self._total_tiles))
-            node_source = np.empty((len(uniq), len(sections)))
-            for u, rows in enumerate(uniq):
-                rows = int(rows)
-                entry = cache.get((n, rows))
-                if entry is None:
-                    entry = self._node_tables_numpy(
-                        n, rows, self.oracle.plan(n, rows)
-                    )
-                    cache.put((n, rows), entry)
-                node_totals[u] = entry[0]
-                node_source[u] = entry[2]
-            all_totals[:, n, :] = node_totals[inverse]
-            all_source[:, n, :] = node_source[inverse]
+        counts = self._batch_counts(dists)
+        n_iter = iterations if iterations is not None else self.program.iterations
+        plan = self._plan
+        if plan is None:
+            plan = self.ensure_plan(telemetry)
+        return plan.execute(counts, n_iter)
 
-        timeline = self.timeline
-        offsets = self._tile_offsets
-
-        def matrix_op(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda clocks: (A + clocks[:, None, :]).max(axis=2)
-
-        ops: List[Callable[[np.ndarray], np.ndarray]] = []
-        pending: Optional[np.ndarray] = None
-        for si, section in enumerate(sections):
-            lo, hi = offsets[si], offsets[si + 1]
-            tile_totals = all_totals[:, :, lo:hi]
-            tile_sums = (
-                tile_totals[:, :, 0]
-                if hi - lo == 1
-                else tile_totals.sum(axis=2)
-            )
-            matrix = timeline.compile_matrix_batch(
-                section.comm.pattern,
-                section.comm.message_bytes,
-                all_source[:, :, si],
-                tile_sums,
-            )
-            if matrix is not None:
-                pending = (
-                    matrix
-                    if pending is None
-                    else maxplus_compose_batch(matrix, pending)
-                )
-            else:
-                if pending is not None:
-                    ops.append(matrix_op(pending))
-                    pending = None
-                ops.append(
-                    timeline.compile_advance_batch(
-                        section.comm.pattern,
-                        tile_totals,
-                        section.comm.message_bytes,
-                    )
-                )
-        if pending is not None:
-            ops.append(matrix_op(pending))
-        totals = self._steady_walk_batch(ops, n_iter, B)
-        return totals.max(axis=1)
-
-    def _steady_walk_batch(
-        self,
-        ops: List[Callable[[np.ndarray], np.ndarray]],
-        n_iter: int,
-        batch: int,
-    ) -> np.ndarray:
-        """Batched :meth:`_steady_walk`: ``(B, P)`` clocks advance
-        through the fused per-iteration ops together, but each candidate
-        converges *individually* — the moment candidate ``b``'s
-        increment vector repeats (the scalar walk's convergence rule,
-        same tolerances), its extrapolated totals are frozen while the
-        rest keep walking.  Frozen rows keep advancing numerically
-        (max-plus ops are stable) but their recorded result no longer
-        changes, so per-candidate results match the sequential walk."""
-        P = self.n_nodes
-        clocks = np.zeros((batch, P))
-        totals = np.empty((batch, P))
-        active = np.ones(batch, dtype=bool)
-        second_last: Optional[np.ndarray] = None
-        last: Optional[np.ndarray] = None
-        prev_steady: Optional[np.ndarray] = None
-        simulate = 0
-        while simulate < n_iter:
-            for op in ops:
-                clocks = op(clocks)
-            second_last, last = last, clocks
-            simulate += 1
-            if second_last is not None:
-                steady_now = last - second_last
-                if prev_steady is not None:
-                    converged = (
-                        np.abs(steady_now - prev_steady)
-                        <= 1e-12 + 1e-9 * np.abs(prev_steady)
-                    ).all(axis=1)
-                    newly = active & converged
-                    if newly.any():
-                        totals[newly] = (
-                            last[newly]
-                            + steady_now[newly] * (n_iter - simulate)
-                        )
-                        active[newly] = False
-                        if not active.any():
-                            return totals
-                prev_steady = steady_now
-        # Walked every iteration without (all candidates) converging:
-        # the remaining rows' totals are simply their final clocks.
-        totals[active] = last[active]
-        return totals
-
-    # -- table construction -----------------------------------------------------
-
-    def _source_read(self, n: int, section: ParallelSection, plan) -> float:
-        """Disk read charged for materialising one outgoing message."""
-        src = section.comm.source_variable
-        if (
-            src is not None
-            and section.comm.pattern is CommPattern.NEAREST_NEIGHBOR
-        ):
-            placement = plan.placements.get(src)
-            if placement is not None and not placement.in_core:
-                return self.stage_model.read_block_seconds(
-                    n, src, section.comm.message_bytes
-                )
-        return 0.0
+    # -- reference tables and walk ----------------------------------------------
 
     def _node_tables(self, n: int, rows: int, plan):
         """Per section, for one node: tile stage-times (total and
@@ -682,49 +515,11 @@ class MhetaModel:
                     t_sum += st.total
                 totals.append(t_sum)
                 computes.append(c_sum)
-            out.append((totals, computes, self._source_read(n, section, plan)))
+            out.append(
+                (totals, computes,
+                 _source_read(self.stage_model, n, section, plan))
+            )
         return out
-
-    def _node_tables_numpy(self, n: int, rows: int, plan):
-        """Vectorised counterpart of :meth:`_node_tables`: one array
-        kernel call per section instead of tiles x stages Python loops.
-        Sections are packed along one flat tile axis (layout in
-        ``self._tile_offsets``) so assembling a distribution's ``(P,
-        tiles)`` tables costs one row copy per node.
-
-        Single-tile sections go through the scalar per-stage
-        accumulation: the closed-form array kernel only amortises its
-        call overhead across many tiles, and the scalar path is exact
-        against the reference by construction.
-        """
-        totals = np.empty(self._total_tiles)
-        computes = np.empty(self._total_tiles)
-        source_read = np.empty(len(self.program.sections))
-        for si, section in enumerate(self.program.sections):
-            lo, hi = self._tile_offsets[si], self._tile_offsets[si + 1]
-            if section.tiles == 1:
-                c_sum = 0.0
-                t_sum = 0.0
-                for stage in section.stages:
-                    st = self.stage_model.tile_stage_times(
-                        n, rows, section, stage, rows, plan
-                    )
-                    c_sum += st.compute_seconds
-                    t_sum += st.total
-                totals[lo] = t_sum
-                computes[lo] = c_sum
-            else:
-                t, c = self.stage_model.section_tile_times(
-                    n, rows, section, plan
-                )
-                totals[lo:hi] = t
-                computes[lo:hi] = c
-            source_read[si] = self._source_read(n, section, plan)
-        # Cached entries are shared across predictions; freeze them.
-        totals.setflags(write=False)
-        computes.setflags(write=False)
-        source_read.setflags(write=False)
-        return (totals, computes, source_read)
 
     def _section_tables(
         self,
@@ -736,91 +531,36 @@ class MhetaModel:
         same for every iteration, so the iteration loop only replays the
         communication timeline.  Per-``(node, rows)`` work is memoised
         in the model's bounded LRU (or the explicit ``table_cache``
-        override), shared across every prediction."""
+        override), shared across every prediction; the entries are keyed
+        apart from the plan's array tables for the same ``(node, rows)``."""
         P = self.n_nodes
         cache = table_cache if table_cache is not None else self._tables_cache
-        build = (
-            self._node_tables
-            if self.kernel == "scalar"
-            else self._node_tables_numpy
-        )
         counts = distribution.counts
         per_node = []
         for n in range(P):
             rows = counts[n]
             if cache is None:
-                per_node.append(build(n, rows, self.oracle.plan(n, rows)))
+                per_node.append(
+                    self._node_tables(n, rows, self.oracle.plan(n, rows))
+                )
             else:
-                key = (n, rows)
+                key = ("scalar", n, rows)
                 entry = cache.get(key)
                 if entry is None:
-                    entry = build(n, rows, self.oracle.plan(n, rows))
+                    entry = self._node_tables(
+                        n, rows, self.oracle.plan(n, rows)
+                    )
                     cache.put(key, entry)
                 per_node.append(entry)
-        tables = []
-        if self.kernel != "scalar":
-            # One row copy per node into the flat (P, total_tiles)
-            # tables, then per-section column views — no re-stacking.
-            all_totals = np.empty((P, self._total_tiles))
-            all_compute = np.empty((P, self._total_tiles))
-            all_source = np.empty((P, len(self.program.sections)))
-            for n in range(P):
-                entry = per_node[n]
-                all_totals[n] = entry[0]
-                all_compute[n] = entry[1]
-                all_source[n] = entry[2]
-            for si, section in enumerate(self.program.sections):
-                lo, hi = self._tile_offsets[si], self._tile_offsets[si + 1]
-                tile_totals = all_totals[:, lo:hi]
-                tile_compute = all_compute[:, lo:hi]
-                source_read = all_source[:, si]
-                tile_sums = (
-                    tile_totals[:, 0]
-                    if hi - lo == 1
-                    else tile_totals.sum(axis=1)
-                )
-                matrix = self.timeline.compile_matrix(
-                    section.comm.pattern,
-                    tile_totals,
-                    section.comm.message_bytes,
-                    source_read,
-                    tile_sums,
-                )
-                advance = (
-                    None
-                    if matrix is not None
-                    else self.timeline.compile_advance(
-                        section.comm.pattern,
-                        tile_totals,
-                        section.comm.message_bytes,
-                        source_read,
-                        tile_sums,
-                    )
-                )
-                tables.append(
-                    _SectionTables(
-                        section=section,
-                        tile_totals=tile_totals,
-                        tile_compute=tile_compute,
-                        source_read=source_read,
-                        tile_sums=tile_sums,
-                        matrix=matrix,
-                        advance=advance,
-                    )
-                )
-            return tables
-        for si, section in enumerate(self.program.sections):
-            tables.append(
-                _SectionTables(
-                    section=section,
-                    tile_totals=[per_node[n][si][0] for n in range(P)],
-                    tile_compute=[per_node[n][si][1] for n in range(P)],
-                    source_read=[per_node[n][si][2] for n in range(P)],
-                )
+        return [
+            _SectionTables(
+                section=section,
+                tile_totals=[per_node[n][si][0] for n in range(P)],
+                tile_compute=[per_node[n][si][1] for n in range(P)],
+                source_read=[per_node[n][si][2] for n in range(P)],
             )
-        return tables
-
-    # -- iteration walks --------------------------------------------------------
+            for si, section in enumerate(self.program.sections)
+        ]
 
     def _walk_scalar(
         self, tables: List[_SectionTables], n_iter: int
@@ -911,203 +651,6 @@ class MhetaModel:
             steady = list(iter_ends[0])
         return totals, steady
 
-    @staticmethod
-    def _iteration_ops(
-        tables: List[_SectionTables],
-    ) -> List[Callable[[np.ndarray], np.ndarray]]:
-        """Fuse one iteration's section advances for the numpy kernel.
-
-        Runs of consecutive max-plus matrices compose into a single
-        matrix (:func:`maxplus_compose`), so an all-matrix program —
-        any mix of NONE / nearest-neighbour / reduction / allgather
-        sections — walks each steady-state iteration with one ``(A +
-        clocks).max(axis=1)``.  Pipeline sections stay as their replay
-        closures, splitting the composition.
-        """
-
-        def matrix_op(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda clocks: (A + clocks).max(axis=1)
-
-        ops: List[Callable[[np.ndarray], np.ndarray]] = []
-        pending: Optional[np.ndarray] = None
-        for t in tables:
-            if t.matrix is not None:
-                pending = (
-                    t.matrix
-                    if pending is None
-                    else maxplus_compose(t.matrix, pending)
-                )
-            else:
-                if pending is not None:
-                    ops.append(matrix_op(pending))
-                    pending = None
-                ops.append(t.advance)
-        if pending is not None:
-            ops.append(matrix_op(pending))
-        return ops
-
-    def _steady_walk(
-        self,
-        ops: List[Callable[[np.ndarray], np.ndarray]],
-        n_iter: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Iterate the fused per-iteration ops until the increment
-        vector repeats (same convergence rule as the scalar walk), then
-        extrapolate linearly.  Only the last two clock vectors are
-        retained; the increment comparison runs on Python floats —
-        cheaper than array ops at typical node counts.  Returns
-        ``(totals, steady)``."""
-        clocks = np.zeros(self.n_nodes)
-        second_last: Optional[np.ndarray] = None
-        last: Optional[np.ndarray] = None
-        prev_steady: Optional[List[float]] = None
-        steady_now: Optional[np.ndarray] = None
-        simulate = 0
-        while simulate < n_iter:
-            for op in ops:
-                clocks = op(clocks)
-            second_last, last = last, clocks
-            simulate += 1
-            if second_last is not None:
-                steady_now = last - second_last
-                steady_list = steady_now.tolist()
-                if prev_steady is not None:
-                    for a, b in zip(steady_list, prev_steady):
-                        if abs(a - b) > 1e-12 + 1e-9 * abs(b):
-                            break
-                    else:
-                        break
-                prev_steady = steady_list
-        if n_iter == 1 or second_last is None:
-            return last, last
-        totals = last + steady_now * (n_iter - simulate)
-        return totals, steady_now
-
-    def _predict_lean(
-        self,
-        distribution: GenBlock,
-        n_iter: int,
-        table_cache: Optional[LRUCache],
-    ) -> float:
-        """The search hot path: numpy kernel, scalar result, steady
-        iterations.  Builds the fused iteration ops straight from the
-        per-``(node, rows)`` cache entries — no compute-share tables,
-        no per-section report structures."""
-        P = self.n_nodes
-        cache = table_cache if table_cache is not None else self._tables_cache
-        counts = distribution.counts
-        if cache is None:
-            per_node = [
-                self._node_tables_numpy(
-                    n, counts[n], self.oracle.plan(n, counts[n])
-                )
-                for n in range(P)
-            ]
-        else:
-            per_node = cache.get_many(
-                [(n, counts[n]) for n in range(P)]
-            )
-            for n, entry in enumerate(per_node):
-                if entry is None:
-                    entry = self._node_tables_numpy(
-                        n, counts[n], self.oracle.plan(n, counts[n])
-                    )
-                    cache.put((n, counts[n]), entry)
-                    per_node[n] = entry
-        sections = self.program.sections
-        all_totals = np.empty((P, self._total_tiles))
-        all_source = np.empty((P, len(sections)))
-        for n in range(P):
-            entry = per_node[n]
-            all_totals[n] = entry[0]
-            all_source[n] = entry[2]
-        timeline = self.timeline
-        offsets = self._tile_offsets
-
-        def matrix_op(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda clocks: (A + clocks).max(axis=1)
-
-        ops: List[Callable[[np.ndarray], np.ndarray]] = []
-        pending: Optional[np.ndarray] = None
-        for si, section in enumerate(sections):
-            lo, hi = offsets[si], offsets[si + 1]
-            tile_totals = all_totals[:, lo:hi]
-            tile_sums = (
-                tile_totals[:, 0] if hi - lo == 1 else tile_totals.sum(axis=1)
-            )
-            matrix = timeline.compile_matrix(
-                section.comm.pattern,
-                tile_totals,
-                section.comm.message_bytes,
-                all_source[:, si],
-                tile_sums,
-            )
-            if matrix is not None:
-                pending = (
-                    matrix
-                    if pending is None
-                    else maxplus_compose(matrix, pending)
-                )
-            else:
-                if pending is not None:
-                    ops.append(matrix_op(pending))
-                    pending = None
-                ops.append(
-                    timeline.compile_advance(
-                        section.comm.pattern,
-                        tile_totals,
-                        section.comm.message_bytes,
-                        all_source[:, si],
-                        tile_sums,
-                    )
-                )
-        if pending is not None:
-            ops.append(matrix_op(pending))
-        totals, _ = self._steady_walk(ops, n_iter)
-        return float(totals.max())
-
-    def _walk_arrays(
-        self, tables: List[_SectionTables], n_iter: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised clock walk: same control flow as
-        :meth:`_walk_scalar`, per-node arithmetic on float64 arrays."""
-        clocks = np.zeros(self.n_nodes)
-        iter_ends: List[np.ndarray] = []
-        profile = self.program.iteration_profile
-        if profile is None:
-            return self._steady_walk(self._iteration_ops(tables), n_iter)
-        m0 = self.program.iteration_multiplier(0)
-        for it in range(n_iter):
-            mult = (
-                self.program.iteration_multiplier(it)
-                if it < self.program.iterations
-                else 1.0
-            ) / m0
-            for t in tables:
-                scaled = t.tile_totals + (mult - 1.0) * t.tile_compute
-                clocks = self.timeline.advance_arrays(
-                    t.section.comm.pattern,
-                    clocks,
-                    scaled,
-                    t.section.comm.message_bytes,
-                    t.source_read,
-                )
-            iter_ends.append(clocks)
-        totals = iter_ends[-1]
-        steady = (
-            iter_ends[-1] - iter_ends[-2] if n_iter >= 2 else iter_ends[0]
-        )
-        return totals, steady
-
-    # -- assembly ---------------------------------------------------------------
-
-    @staticmethod
-    def _row_sum(row) -> float:
-        """Sum one node's per-tile table (list or ndarray)."""
-        if isinstance(row, np.ndarray):
-            return float(row.sum())
-        return sum(row)
-
     def _predict(
         self,
         distribution: GenBlock,
@@ -1123,35 +666,27 @@ class MhetaModel:
         n_iter = (
             iterations if iterations is not None else self.program.iterations
         )
-        if not want_report and self.program.iteration_profile is None:
-            if self.kernel == "numpy":
-                return self._predict_lean(
-                    distribution, n_iter, table_cache
-                )
-            if self.kernel == "plan":
+        if not want_report and self.kernel == "plan":
+            if self.program.iteration_profile is None:
                 plan = self._plan
                 if plan is None:
                     plan = self.ensure_plan(telemetry)
                 counts = np.array([distribution.counts], dtype=np.int64)
                 return float(plan.execute(counts, n_iter)[0])
+            if telemetry:
+                telemetry.count("model/scalar_fallbacks")
         P = self.n_nodes
         tables = self._section_tables(distribution, table_cache)
-
-        if self.kernel != "scalar":
-            totals, steady = self._walk_arrays(tables, n_iter)
-            if not want_report:
-                return float(totals.max())
-        else:
-            totals, steady = self._walk_scalar(tables, n_iter)
-            if not want_report:
-                return max(totals)
+        totals, steady = self._walk_scalar(tables, n_iter)
+        if not want_report:
+            return max(totals)
 
         nodes = []
         for n in range(P):
             sections = []
             for t in tables:
-                compute = self._row_sum(t.tile_compute[n])
-                io = self._row_sum(t.tile_totals[n]) - compute
+                compute = sum(t.tile_compute[n])
+                io = sum(t.tile_totals[n]) - compute
                 sections.append(
                     SectionBreakdown(
                         section=t.section.name,
@@ -1273,8 +808,8 @@ class MhetaModel:
         }
         bottleneck = 0
         for n in range(P):
-            comp_iter = sum(self._row_sum(t.tile_compute[n]) for t in tables)
-            local_iter = sum(self._row_sum(t.tile_totals[n]) for t in tables)
+            comp_iter = sum(sum(t.tile_compute[n]) for t in tables)
+            local_iter = sum(sum(t.tile_totals[n]) for t in tables)
             io_iter = local_iter - comp_iter
             plan = self.oracle.plan(n, counts[n])
             prefetch_iter = sum(

@@ -1,23 +1,20 @@
-"""Compiled evaluation plans: one-time specialization of the predictor.
+"""Compiled evaluation plans: the model's one fast prediction path.
 
-The batched numpy kernel still re-derives a lot of structure on every
-``predict(batch=True)`` call: per-node ``np.unique`` passes over the
-candidate matrix, fresh ``(B, P, P)`` section matrices, generic max-plus
-composition, and closure dispatch per section.  All of that depends only
-on the *(app structure, cluster shape, kernel options)* triple — not on
-the candidate distributions — so :class:`EvaluationPlan` lowers the
-triple once into a flat program:
+An :class:`EvaluationPlan` lowers one model's *(app structure, cluster
+shape)* pair once into a flat program, then scores validated ``(B, P)``
+candidate-count matrices — a single candidate or a whole population —
+with one gather, a few array builds and one steady-state walk:
 
 1. **Table store** — plan-resident ``(node, rows) -> row`` storage laid
    out column-wise per section: single-tile sections store their section
    total, nearest-neighbour sections store the three *pre-baked* band
-   values (diag / from-left / from-right contributions of that node, the
-   exact two-operand add sequence of
-   :meth:`SectionTimeline._nn_bands`), pipeline sections store the full
-   per-tile table.  A dense ``(P, n_rows + 1)`` index map turns a whole
-   ``(B, P)`` candidate matrix into one fancy gather; misses route
-   through the model's shared table LRU so warmth is never split across
-   tiers.
+   values (diag / from-left / from-right contributions of that node to
+   the exchange's tridiagonal max-plus matrix), pipeline sections store
+   the full per-tile table.  A dense ``(P, n_rows + 1)`` index map turns
+   a whole ``(B, P)`` candidate matrix into one fancy gather; misses are
+   built by the closed-form array tables
+   (:func:`repro.core.model._node_tables_numpy`) through the model's
+   table LRU.
 2. **Lowering** — consecutive sections fold at compile time through a
    small state machine (diagonal / tridiagonal-band / dense-plus-rank-1
    / materialized matrix): diagonal sections fold for free into their
@@ -27,52 +24,49 @@ triple once into a flat program:
    sections split the fold with a precomputed prefix-scan op.  The
    result is a short list of *builders* (run once per batch) and *walk
    ops* (run once per iteration).
-3. **Steady-state walk** — the per-candidate freezing rule of
-   :meth:`MhetaModel._steady_walk_batch` (identical tolerances and
-   extrapolation arithmetic) runs over preallocated rotating buffers;
-   single-matrix programs take a fused walk loop that is JIT-compiled
-   with numba when available (``REPRO_PLAN_NUMBA=0`` disables) and
-   always has a pure-numpy twin with bit-identical semantics — explicit
-   loops replay numpy's elementwise adds and exact max reductions, so
-   both modes agree bit-for-bit.
+3. **Steady-state walk** — the convergence rule of the scalar reference
+   walk (:meth:`MhetaModel._walk_scalar`: identical tolerances and
+   extrapolation arithmetic), applied per candidate, runs over
+   preallocated rotating buffers; single-matrix programs take a fused
+   walk loop that is JIT-compiled with numba when available
+   (``REPRO_PLAN_NUMBA=0`` disables) and always has a pure-numpy twin
+   with bit-identical semantics — explicit loops replay numpy's
+   elementwise adds and exact max reductions, so both modes agree
+   bit-for-bit.
 
-Compiled plans are shared process-wide through a bounded LRU keyed by a
-content fingerprint of the triple, beside the per-model table LRU;
-:func:`plan_cache_stats` exposes hit/miss/compile counters for
-``repro stats`` and benchmark JSON.  The array layout is deliberately
-flat and contiguous — ``(B, P)`` clocks, ``(B, P, P)`` matrices, one
-gather per batch — so a future GPU backend can adopt the same plan IR.
+Each model owns its plan (:meth:`MhetaModel.ensure_plan`).  The plan
+keeps what it reads — the oracle, the stage model, the table LRU — and
+no reference back to the model, so a model and its plan are freed by
+refcount as soon as the caller drops the model.  A compile costs about a
+millisecond, so equal models do not share plans.  :func:`compile_plan`
+counts every compile (evaluation and emulation plans) for
+:func:`plan_cache_stats`, ``repro stats`` and benchmark JSON.  The array
+layout is deliberately flat and contiguous — ``(B, P)`` clocks,
+``(B, P, P)`` matrices, one gather per batch.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.model import _node_tables_numpy
 from repro.exceptions import ModelError
 from repro.obs import Recorder
 from repro.program.sections import CommPattern
-from repro.util.lru import LRUCache
 
 __all__ = [
     "EvaluationPlan",
-    "DEFAULT_PLAN_CACHE_ENTRIES",
     "MAX_STORE_ROWS",
-    "get_plan",
-    "discard_plan",
+    "compile_plan",
     "plan_cache_stats",
+    "record_plan_gauges",
     "reset_plan_cache",
     "numba_active",
 ]
-
-#: Bound of the process-wide compiled-plan LRU.  Plans are small (a few
-#: hundred KB of index map dominates); the bound exists so unattended
-#: services cycling through many (app, cluster) pairs stay flat.
-DEFAULT_PLAN_CACHE_ENTRIES = 32
 
 #: Table-store row bound per plan.  A store row is a handful of floats;
 #: when a very long sweep exceeds the bound the store resets rather than
@@ -84,7 +78,7 @@ MAX_STORE_ROWS = 1 << 16
 _MAX_DENSE_INDEX = 1 << 25
 
 # Convergence tolerances of the steady-state walk — must match
-# MhetaModel._steady_walk_batch exactly.
+# MhetaModel._walk_scalar exactly.
 _ATOL = 1e-12
 _RTOL = 1e-9
 
@@ -270,15 +264,15 @@ def _colsum(g: np.ndarray, cols: Sequence[int]) -> np.ndarray:
 
 
 class EvaluationPlan:
-    """A compiled evaluator for one (app structure, cluster shape,
-    kernel options) triple.
+    """A compiled evaluator for one model's (app structure, cluster
+    shape) pair.
 
-    Built once by :func:`get_plan` (or :meth:`MhetaModel.ensure_plan`);
-    :meth:`execute` then scores validated ``(B, P)`` candidate-count
-    matrices.  Per-candidate results are bit-identical across batch
-    sizes (no reduction crosses the candidate axis, and the steady-state
-    freeze is per-candidate), so ``execute`` backs both the batched and
-    the single-candidate ``kernel="plan"`` paths.
+    Built once by :meth:`MhetaModel.ensure_plan`; :meth:`execute` then
+    scores validated ``(B, P)`` candidate-count matrices.  Per-candidate
+    results are bit-identical across batch sizes (no reduction crosses
+    the candidate axis, and the steady-state freeze is per-candidate),
+    so ``execute`` backs both the batched and the single-candidate
+    ``kernel="plan"`` paths.
 
     Plans hold per-batch-size scratch buffers and are **not**
     thread-safe — exactly like the default table LRU.  The serving layer
@@ -286,16 +280,24 @@ class EvaluationPlan:
     """
 
     def __init__(self, model) -> None:
-        self._model = model
+        # Everything the plan needs from ``model`` is read here; keeping
+        # no reference to the model itself lets the model (the plan's
+        # only owner) and the plan die by refcount, with no cycle left
+        # for the cyclic collector.
         self._timeline = model.timeline
+        self._micro = model.inputs.micro
+        self._oracle = model.oracle
+        self._stage_model = model.stage_model
+        self._tables_cache = model._tables_cache
         self.P = model.n_nodes
         self.n_rows = model.program.n_rows
-        self.fingerprint = model.fingerprint
         self.executes = 0
         self.store_resets = 0
         # -- store layout ----------------------------------------------
         sections = model.program.sections
         offsets = model._tile_offsets
+        self._sections = sections
+        self._offsets = offsets
         self._col_specs: List[tuple] = []
         col = 0
         kinds: List[int] = []
@@ -344,6 +346,7 @@ class EvaluationPlan:
         self._op_makers: List[Callable] = []
         self._matrix_buf: Optional[int] = None
         self._ops_tmp: Optional[int] = None
+        self._fuse_transposed: Optional[Callable] = None
         self._lower(sections, kinds)
         # Gather memo: store rows are immutable pure functions of
         # ``(node, rows)``, so a repeated candidate batch (steady-state
@@ -385,35 +388,55 @@ class EvaluationPlan:
             # its transposed twin: it writes ``_walk_mt`` directly and
             # the walk skips the per-execute transpose copy.
             self._matrix_transposed = False
-            if len(self._builders) == 1:
-                maker = getattr(
-                    self._builders[0], "make_transposed", None
-                )
-                if maker is not None:
-                    self._builders = [maker(self._walk_mt)]
-                    self._matrix_transposed = True
+            maker = self._fuse_transposed
+            if len(self._builders) == 1 and maker is not None:
+                self._builders = [maker(self._walk_mt)]
+                self._matrix_transposed = True
+        # The maker closes over this plan; dropping it leaves no cycle.
+        self._fuse_transposed = None
 
     # -- compile-time helpers ------------------------------------------
 
     def _bake_nn_constants(self, sections, kinds) -> dict:
-        """Per nearest-neighbour section: the node-constant vectors of
-        :meth:`SectionTimeline._nn_bands`, so store rows carry finished
-        band values and the hot path does zero band arithmetic."""
-        tl = self._timeline
-        micro = self._model.inputs.micro
+        """Per nearest-neighbour section: the node constants of the
+        exchange's tridiagonal max-plus matrix, so store rows carry
+        finished band values and the hot path does zero band arithmetic.
+
+        The bands follow from distributing the receive overheads over
+        the two receive steps of :meth:`SectionTimeline._nearest_neighbor`
+        (sends posted left then right, each costing ``post = source read
+        + o_s``; receives left then right).  With ``local = section
+        total + posts * post`` (interior nodes post twice, the ends
+        once), node ``n`` contributes ``local + receive overheads`` on
+        the diagonal, ``local + X + o_r + [n + 1 receives from its
+        right]`` towards ``end[n + 1]`` (its last post feeds the right
+        neighbour's first receive), and ``(section total + post) + X +
+        o_r`` towards ``end[n - 1]`` (its first post feeds the left
+        neighbour's second receive)."""
+        micro = self._micro
+        P = self.P
+        posts = np.ones(P)
+        posts[1:-1] = 2.0
+        or_ = micro.recv_overhead
+        or1 = np.full(P, or_)
+        or1[0] = 0.0  # no left neighbour to receive from
+        or2 = np.full(P, or_)
+        or2[-1] = 0.0  # no right neighbour to receive from
+        or12 = or1 + or2
+        or2_tail = or_ + or2[1:]
         out = {}
         for si, section in enumerate(sections):
             if kinds[si] != _TRI:
                 continue
-            x = tl._transfer(section.comm.message_bytes)
-            left_add = np.zeros(self.P)
-            left_add[: self.P - 1] = x + tl._nn_or2_tail
+            x = self._timeline._transfer(section.comm.message_bytes)
+            left_add = np.zeros(P)
+            left_add[: P - 1] = x + or2_tail
             out[si] = {
                 "os": micro.send_overhead,
-                "post_mult": tl._nn_post_mult,
-                "or12": tl._nn_or12,
+                "post_mult": posts,
+                "or12": or12,
                 "left_add": left_add,
-                "right_add": x + micro.recv_overhead,
+                "right_add": x + or_,
             }
         return out
 
@@ -461,10 +484,10 @@ class EvaluationPlan:
         The pending state tracks the max-plus matrix of the sections
         composed so far; every transition either folds the new section
         into the state for free (diagonals, banded builds) or flushes
-        the state as a walk op.  The batch kernel composes the same
-        chain generically at run time; here the composition order and
-        operand pairing are preserved so results stay within rounding
-        of that path (and well within the 1e-12 scalar contract).
+        the state as a walk op.  Section matrices compose in program
+        order ("apply the earlier section, then the later one"), so
+        results stay within rounding of the scalar reference walk (the
+        1e-12 contract).
         """
         state: object = None  # None | list[int] (diag cols) | _TriState
         state_kind = "empty"  # empty | diag | tri | densep | mat
@@ -658,12 +681,20 @@ class EvaluationPlan:
 
     def _emit_pipe_op(self, section, spec) -> None:
         """A pipeline walk op with the clock-independent prefix sums
-        hoisted into the builder (the arithmetic replays
-        :meth:`SectionTimeline._pipeline_arrays_batch` exactly)."""
+        hoisted into the builder.
+
+        It evaluates Equation 4's recurrence
+        (:meth:`SectionTimeline._pipeline`) as a per-node prefix scan
+        over tiles: node ``n``'s ``now_t = max(now_{t-1}, d_t) + c_t``
+        (arrival ``d_t`` from upstream, local cost ``c_t``) has the
+        closed form ``now_t = C_t + max(start, max_{j<=t}(d_j -
+        C_{j-1}))`` with ``C`` the prefix sums of ``c`` — one
+        ``maximum.accumulate`` per node instead of a tiles x nodes
+        Python loop."""
         _, _, lo, hi, c0 = spec
         tiles = hi - lo
         P = self.P
-        micro = self._model.inputs.micro
+        micro = self._micro
         os_ = micro.send_overhead
         or_ = micro.recv_overhead
         x = self._timeline._transfer(section.comm.message_bytes)
@@ -862,7 +893,7 @@ class EvaluationPlan:
 
             return build_t
 
-        build.make_transposed = make_transposed
+        self._fuse_transposed = make_transposed
         return build
 
     def _make_dense_materialize(
@@ -895,8 +926,7 @@ class EvaluationPlan:
         return idx
 
     def _fill_missing(self, counts: np.ndarray, idx: np.ndarray) -> None:
-        model = self._model
-        cache = model._tables_cache
+        cache = self._tables_cache
         for b, n in np.argwhere(idx < 0):
             n = int(n)
             rows = int(counts[b, n])
@@ -907,8 +937,9 @@ class EvaluationPlan:
                 continue
             entry = cache.get((n, rows)) if cache is not None else None
             if entry is None:
-                entry = model._node_tables_numpy(
-                    n, rows, model.oracle.plan(n, rows)
+                entry = _node_tables_numpy(
+                    self._stage_model, self._sections, self._offsets,
+                    n, rows, self._oracle.plan(n, rows),
                 )
                 if cache is not None:
                     cache.put((n, rows), entry)
@@ -947,7 +978,7 @@ class EvaluationPlan:
                 vec[c0] = totals[lo]
             else:
                 # P == 1 pipeline folded to a diagonal: section total is
-                # the tile sum, matching the batch kernel's axis sum.
+                # the tile sum.
                 vec[c0] = totals[lo:hi].sum()
         if self._index is not None:
             self._index[n, rows] = self._used
@@ -1017,9 +1048,8 @@ class EvaluationPlan:
                     ) -> np.ndarray:
         """Single-matrix steady-state walk over rotating buffers.
 
-        Per-candidate freezing replays
-        :meth:`MhetaModel._steady_walk_batch` term for term: the same
-        tolerance expression, the same ``last + steady * k``
+        Per-candidate freezing replays :meth:`_walk_ops` term for term:
+        the same tolerance expression, the same ``last + steady * k``
         extrapolation, the same final fallback.
         """
         wb = self._walk_bufs
@@ -1113,8 +1143,11 @@ class EvaluationPlan:
 
     def _walk_ops(self, ops, n_iter: int, B: int) -> np.ndarray:
         """Generic walk for multi-op plans (collective chains,
-        pipelines) — the exact control flow of
-        :meth:`MhetaModel._steady_walk_batch`."""
+        pipelines): the scalar reference walk's convergence rule and
+        extrapolation (:meth:`MhetaModel._walk_scalar`), applied to each
+        candidate independently — the moment candidate ``b``'s increment
+        vector repeats, its extrapolated totals are frozen while the
+        rest keep walking."""
         P = self.P
         clocks = np.zeros((B, P))
         totals = np.empty((B, P))
@@ -1169,75 +1202,53 @@ class EvaluationPlan:
         }
 
 
-# -- process-wide plan cache --------------------------------------------------
+# -- compile counters ----------------------------------------------------------
 
-_plan_cache = LRUCache(DEFAULT_PLAN_CACHE_ENTRIES, threadsafe=True)
 _compiles = 0
 _compile_seconds = 0.0
 
 
-def get_plan(
-    model,
-    telemetry: Optional[Recorder] = None,
-    *,
-    key: Optional[str] = None,
-    factory: Optional[Callable] = None,
-):
-    """The compiled plan for ``model``'s triple: a cache hit when an
-    equivalent model (same structure fingerprint) compiled one earlier
-    in this process, otherwise a fresh compile under
-    ``span/plan/compile``.
-
-    ``key`` and ``factory`` let other plan kinds (the 2-D kernel's
-    :class:`repro.twod.plan2d.EvaluationPlan2D`) share this same
-    process-wide LRU, compile telemetry, and numba resolution: ``key``
-    defaults to ``model.fingerprint`` and ``factory`` to
-    :class:`EvaluationPlan`.
-    """
+def compile_plan(build: Callable[[], object],
+                 telemetry: Optional[Recorder] = None):
+    """Run one plan compile (``build()``) under ``span/plan/compile``
+    and count it in :func:`plan_cache_stats`.  Every compiled-plan kind
+    goes through here: the 1-D and 2-D evaluation plans their models
+    own, and the emulation plans of :mod:`repro.sim.plan_sim`."""
     global _compiles, _compile_seconds
-    if key is None:
-        key = model.fingerprint
-    plan = _plan_cache.get(key)
-    if plan is None:
-        build = factory if factory is not None else EvaluationPlan
-        _resolve_numba_walk()
-        t0 = time.perf_counter()
-        if telemetry:
-            with telemetry.span("plan/compile"):
-                plan = build(model)
-        else:
-            plan = build(model)
-        dt = time.perf_counter() - t0
-        _compiles += 1
-        _compile_seconds += dt
-        _plan_cache.put(key, plan)
-        if telemetry:
-            telemetry.count("model/plan_cache/compiles")
+    _resolve_numba_walk()
+    t0 = time.perf_counter()
+    if telemetry:
+        with telemetry.span("plan/compile"):
+            plan = build()
+    else:
+        plan = build()
+    _compiles += 1
+    _compile_seconds += time.perf_counter() - t0
+    if telemetry:
+        telemetry.count("model/plan_cache/compiles")
     return plan
 
 
-def discard_plan(fingerprint: str) -> bool:
-    """Drop one compiled plan (resident-model eviction); returns
-    whether an entry was present."""
-    return _plan_cache.pop(fingerprint, None) is not None
-
-
 def plan_cache_stats() -> dict:
-    """Hit/miss/compile counters of the process-wide plan cache, in the
-    same shape the table-LRU counters use (plus compile totals)."""
-    stats = _plan_cache.stats
-    stats["compiles"] = _compiles
-    stats["compile_seconds"] = _compile_seconds
-    stats["numba_active"] = numba_active()
-    return stats
+    """Process-wide plan compile counters, plus whether the numba walk
+    is active."""
+    return {
+        "compiles": _compiles,
+        "compile_seconds": _compile_seconds,
+        "numba_active": numba_active(),
+    }
+
+
+def record_plan_gauges(rec: Recorder, resident: int) -> None:
+    """The ``model/plan_cache/*`` gauges of one model's prediction:
+    ``resident`` is the number of compiled plans that model holds."""
+    rec.set("model/plan_cache/size", resident)
+    rec.set("model/plan_cache/compiles", _compiles)
+    rec.set("model/plan_cache/compile_seconds", _compile_seconds)
 
 
 def reset_plan_cache() -> None:
-    """Clear the plan cache and counters (tests and benchmarks)."""
+    """Zero the compile counters (tests and benchmarks)."""
     global _compiles, _compile_seconds
-    _plan_cache.clear()
-    _plan_cache.hits = 0
-    _plan_cache.misses = 0
-    _plan_cache.evictions = 0
     _compiles = 0
     _compile_seconds = 0.0

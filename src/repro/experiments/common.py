@@ -130,11 +130,11 @@ def build_model(
     cluster: ClusterSpec,
     program: ProgramStructure,
     perturbation: Optional[PerturbationConfig] = None,
-    kernel: str = "numpy",
+    kernel: str = "plan",
 ) -> MhetaModel:
     """Instrument one Blk iteration and construct the MHETA model.
 
-    ``kernel`` selects the evaluation path (``"numpy"`` vectorised,
+    ``kernel`` selects the evaluation path (``"plan"`` compiled,
     ``"scalar"`` reference); the two agree to <= 1e-12 relative error.
     """
     d0 = block(cluster, program.n_rows)

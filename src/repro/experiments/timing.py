@@ -60,7 +60,7 @@ def model_evaluation_timing(
     program: Optional[ProgramStructure] = None,
     model: Optional[MhetaModel] = None,
     repeats: int = 5,
-    kernel: str = "numpy",
+    kernel: str = "plan",
 ) -> TimingResult:
     """Measure per-distribution prediction cost on Jacobi/HY1 (an
     arbitrary representative pair, overridable).  ``kernel`` selects

@@ -85,8 +85,8 @@ def predict_2d_sharded(
 
     Each worker rebuilds its shard's distributions from (row bands,
     column bands) tuples and scores them with the vectorized 2-D kernel
-    (``TwoDModel.__getstate__`` drops compiled plans, so workers compile
-    — or hit their own process's plan LRU — lazily).  Results are
+    (``TwoDModel.__getstate__`` drops compiled plans, so each worker's
+    unpickled model compiles its own lazily).  Results are
     bit-identical to the serial batch regardless of ``jobs``.
     """
     payload: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = [

@@ -247,15 +247,21 @@ class AdaptiveRuntime:
         search_wall = time.perf_counter() - wall_start
 
         remaining = max(program.iterations - 1, 0)
-        predicted_start = model.predict(
-            start, iterations=remaining, telemetry=telemetry
-        )
-        predicted_best = model.predict(
-            result.best, iterations=remaining, telemetry=telemetry
-        )
-        per_iteration_savings = (
-            (predicted_start - predicted_best) / remaining if remaining else 0.0
-        )
+        if remaining:
+            predicted_start = model.predict(
+                start, iterations=remaining, telemetry=telemetry
+            )
+            predicted_best = model.predict(
+                result.best, iterations=remaining, telemetry=telemetry
+            )
+            per_iteration_savings = (
+                predicted_start - predicted_best
+            ) / remaining
+        else:
+            # The instrumented iteration was the whole job: nothing is
+            # left to predict (the model rejects zero iterations).
+            predicted_best = 0.0
+            per_iteration_savings = 0.0
 
         # 3. Amortisation decision.
         redistributor = RedistributionModel(self.cluster, program)

@@ -116,7 +116,7 @@ class ServeCoordinator:
     def __init__(
         self,
         *,
-        kernel: str = "numpy",
+        kernel: str = "plan",
         window_seconds: float = 0.002,
         max_batch: int = 256,
         batch_mode: str = "vector",
@@ -132,15 +132,9 @@ class ServeCoordinator:
         self.jobs = jobs
         self.run_cache = run_cache
         self.telemetry = as_recorder(telemetry)
-        # Eviction must also drop the model's compiled evaluation plan
-        # from the process-wide plan LRU: a resident model is the only
-        # holder keeping that plan warm, and leaking it across cache
-        # tiers would let dead plans crowd out live ones.
-        self._models = LRUCache(
-            model_cache_entries,
-            threadsafe=True,
-            on_evict=lambda key, entry: entry.model.release_plan(),
-        )
+        # Each model owns its compiled plan, so evicting a resident
+        # model frees the plan with it.
+        self._models = LRUCache(model_cache_entries, threadsafe=True)
         self._model_locks: Dict[Tuple, asyncio.Lock] = {}
         # One worker thread: passes serialise, the loop keeps gathering.
         self._executor = ThreadPoolExecutor(
@@ -200,7 +194,7 @@ class ServeCoordinator:
             # Warm the compiled plan with the model build (still on the
             # executor thread), so the first query pays compile cost
             # here rather than inside its scoring pass.  Compile time
-            # lands in the plan-cache counters either way.
+            # lands in the plan compile counters either way.
             model.ensure_plan()
         return _ModelEntry(model, cluster, program)
 

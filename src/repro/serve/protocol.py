@@ -56,6 +56,9 @@ APPS = ("jacobi", "cg", "lanczos", "rna", "multigrid")
 CONFIGS = ("DC", "IO", "HY1", "HY2")
 ANCHORS = ("blk", "bal", "ic", "icbal")
 ALGORITHMS = ("gbs", "genetic", "annealing", "random", "sweep")
+#: Evaluation kernels a query may name (mirrors
+#: ``repro.core.model.KERNELS``, duplicated like ``DYNAMICS`` below).
+KERNELS = ("scalar", "plan")
 #: Named dynamics scenarios ``verify`` accepts (mirrors
 #: ``repro.cluster.configs.DYNAMICS_SCENARIOS``; duplicated here so the
 #: wire layer stays import-light and parse errors stay local).
@@ -131,8 +134,10 @@ class Query:
         app = _require_choice(payload, "app", APPS)
         config = _require_choice(payload, "config", CONFIGS, default="HY1")
         kernel = payload.get("kernel")
-        if kernel is not None and kernel not in ("numpy", "scalar", "plan"):
-            raise ServeError(f"unknown kernel {kernel!r}")
+        if kernel is not None and kernel not in KERNELS:
+            raise ServeError(
+                f"unknown kernel {kernel!r}; choose from {KERNELS}"
+            )
         try:
             scale = float(payload.get("scale", 0.1))
         except (TypeError, ValueError):

@@ -67,6 +67,11 @@ _SEND, _RECV, _END = 0, 1, 2
 #: Memoised duration profiles kept per plan (one per (rank, rows) seen).
 PROFILE_CACHE_ENTRIES = 8192
 
+#: Bound of the process-wide emulation-plan LRU.  Plans are small; the
+#: bound exists so unattended services cycling through many (app,
+#: cluster) pairs stay flat.
+PLAN_CACHE_ENTRIES = 32
+
 #: Iterations a profile drive must simulate before the stationarity
 #: shortcut may replicate the rest of the probe (one cold pass plus two
 #: comparable warm iterations).
@@ -164,12 +169,14 @@ def _reset_numba_for_tests() -> None:
     _numba_tried = False
 
 
-# -- keys and the shared plan LRU ---------------------------------------------
+# -- keys and the process-wide plan LRU ---------------------------------------
+
+_plan_cache = LRUCache(PLAN_CACHE_ENTRIES, threadsafe=True)
 
 
 def emulation_plan_key(cluster, program, perturbation,
                        policy: FastForwardPolicy) -> str:
-    """Content key of one emulation plan in the shared plan LRU."""
+    """Content key of one emulation plan in the process-wide LRU."""
     from repro.parallel.cache import content_key
 
     return "emulate:" + content_key(cluster, program, perturbation, policy)
@@ -179,19 +186,19 @@ def get_emulation_plan(cluster, program, perturbation,
                        policy: FastForwardPolicy,
                        telemetry=None) -> "EmulationPlan":
     """The process-wide :class:`EmulationPlan` for the configuration,
-    compiled on first use and cached in the same LRU (and with the same
-    compile telemetry) as the prediction plans."""
-    from repro.core.plan import get_plan
+    compiled on first use (counted with the prediction plans' compiles,
+    :func:`repro.core.plan.compile_plan`) and kept in a bounded LRU."""
+    from repro.core.plan import compile_plan
 
     key = emulation_plan_key(cluster, program, perturbation, policy)
-    return get_plan(
-        None,
-        telemetry,
-        key=key,
-        factory=lambda _model: EmulationPlan(
-            cluster, program, perturbation, policy
-        ),
-    )
+    plan = _plan_cache.get(key)
+    if plan is None:
+        plan = compile_plan(
+            lambda: EmulationPlan(cluster, program, perturbation, policy),
+            telemetry,
+        )
+        _plan_cache.put(key, plan)
+    return plan
 
 
 # -- the plan -----------------------------------------------------------------

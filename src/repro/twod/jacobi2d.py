@@ -18,7 +18,6 @@ it.
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -439,12 +438,12 @@ class TwoDModel:
 
     Mirrors :class:`repro.core.model.MhetaModel`'s surface: the
     consolidated :meth:`predict` entry point (scalar, ``report=True``,
-    ``batch=True``/``"serial"``), the ``kernel="scalar"|"numpy"|"plan"``
-    knob, a content :attr:`fingerprint`, and compiled plans shared
-    through the process-wide plan LRU (``kernel="plan"``).  The scalar
-    kernel is the per-rank reference loop; the numpy and plan kernels
-    score whole candidate populations through the max-plus iteration
-    matrices of :mod:`repro.twod.plan2d`.
+    ``batch=True``/``"serial"``) and the ``kernel="scalar"|"plan"``
+    knob.  The scalar kernel is the per-rank reference loop; the plan
+    kernel (default) scores single layouts and whole candidate
+    populations through the max-plus iteration matrices of the
+    :class:`~repro.twod.plan2d.EvaluationPlan2D` this model owns, one
+    per grid shape.
     """
 
     def __init__(
@@ -453,7 +452,7 @@ class TwoDModel:
         spec: Jacobi2DSpec,
         inputs: TwoDInputs,
         *,
-        kernel: str = "numpy",
+        kernel: str = "plan",
     ) -> None:
         if kernel not in KERNELS:
             raise ModelError(
@@ -464,42 +463,13 @@ class TwoDModel:
         self.inputs = inputs
         self.kernel = kernel
         self._timeline = SectionTimeline(inputs.micro, cluster.n_nodes)
-        self._fingerprint: Optional[str] = None
-        # grid shape -> plan.  ``kernel="plan"`` entries come from the
-        # process-wide plan LRU; ``kernel="numpy"`` builds private ones
-        # (vectorized, but no numba and no cross-model sharing).
+        # grid shape -> compiled plan, owned by this model alone (plans
+        # keep no reference back) and dropped on pickling.
         self._plans: Dict[Tuple[int, int], object] = {}
 
     @property
     def n_nodes(self) -> int:
         return self.cluster.n_nodes
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the (workload spec, cluster, instrumented
-        inputs) triple; compiled 2-D plans are shared process-wide under
-        this key qualified by the grid shape."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            d0 = self.inputs.distribution0
-            h.update(
-                repr(
-                    (
-                        self.cluster.name,
-                        tuple(self.cluster.cpu_powers),
-                        tuple(self.cluster.memory_bytes),
-                        self.spec,
-                        d0.row_counts,
-                        d0.col_counts,
-                        self.inputs.compute_seconds,
-                        self.inputs.read_per_byte,
-                        self.inputs.write_per_byte,
-                        self.inputs.micro,
-                    )
-                ).encode()
-            )
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
 
     # -- compiled plans ---------------------------------------------------------
 
@@ -508,34 +478,24 @@ class TwoDModel:
         grid_shape: Optional[Tuple[int, int]] = None,
         telemetry: Optional[Recorder] = None,
     ):
-        """Resolve the evaluation plan for ``grid_shape`` (default: the
-        instrumented baseline's shape) under the current kernel."""
+        """This model's compiled plan for ``grid_shape`` (default: the
+        instrumented baseline's shape), compiled on first use."""
         if grid_shape is None:
             grid_shape = self.inputs.distribution0.grid_shape
         plan = self._plans.get(grid_shape)
         if plan is None:
-            from repro.twod.plan2d import EvaluationPlan2D, get_plan2d
+            from repro.core.plan import compile_plan
+            from repro.twod.plan2d import EvaluationPlan2D
 
-            if self.kernel == "plan":
-                plan = get_plan2d(self, grid_shape, telemetry)
-            else:
-                plan = EvaluationPlan2D(self, grid_shape)
+            plan = compile_plan(
+                lambda: EvaluationPlan2D(self, grid_shape), telemetry
+            )
             self._plans[grid_shape] = plan
         return plan
 
-    def release_plans(self) -> None:
-        """Drop this model's plans (and, for ``kernel="plan"``, their
-        process-wide LRU entries)."""
-        if self.kernel == "plan" and self._plans:
-            from repro.core.plan import discard_plan
-
-            for plan in self._plans.values():
-                discard_plan(plan.fingerprint)
-        self._plans = {}
-
     def __getstate__(self) -> dict:
-        # Plans hold scratch and memo buffers; workers recompile (or hit
-        # their own process's plan LRU) lazily after unpickling.
+        # Plans hold scratch and memo buffers; workers recompile lazily
+        # after unpickling.
         state = self.__dict__.copy()
         state["_plans"] = {}
         return state
@@ -595,7 +555,12 @@ class TwoDModel:
             vs. the serial path).
         ``predict(dists, batch="serial")``
             a ``List[float]`` from the per-candidate loop.
+
+        ``iterations`` overrides the workload's iteration count and must
+        be >= 1.
         """
+        if iterations is not None and iterations < 1:
+            raise ModelError(f"iterations must be >= 1, got {iterations}")
         rec = as_recorder(telemetry)
         if batch:
             if report:
@@ -624,13 +589,9 @@ class TwoDModel:
 
     def _record_plan_gauges(self, rec: Recorder) -> None:
         if self.kernel == "plan":
-            from repro.core.plan import plan_cache_stats
+            from repro.core.plan import record_plan_gauges
 
-            stats = plan_cache_stats()
-            rec.set("model/plan_cache/size", stats["size"])
-            rec.set("model/plan_cache/hits", stats["hits"])
-            rec.set("model/plan_cache/misses", stats["misses"])
-            rec.set("model/plan_cache/compiles", stats["compiles"])
+            record_plan_gauges(rec, len(self._plans))
 
     def _validate(self, dist: GenBlock2D) -> None:
         if dist.n_nodes != self.cluster.n_nodes:
@@ -657,13 +618,7 @@ class TwoDModel:
             plan = self.ensure_plan(dist.grid_shape)
             rowc = np.asarray([dist.row_counts], dtype=np.int64)
             colc = np.asarray([dist.col_counts], dtype=np.int64)
-            totals = plan.execute(
-                rowc,
-                colc,
-                n_iter,
-                allow_numba=self.kernel == "plan",
-                reduce=False,
-            )[0]
+            totals = plan.execute(rowc, colc, n_iter, reduce=False)[0]
         nodes = tuple(
             TwoDNodeReport(
                 rank=r,
@@ -706,9 +661,7 @@ class TwoDModel:
             colc = np.asarray(
                 [dists[i].col_counts for i in idxs], dtype=np.int64
             )
-            out[idxs] = plan.execute(
-                rowc, colc, n_iter, allow_numba=self.kernel == "plan"
-            )
+            out[idxs] = plan.execute(rowc, colc, n_iter)
         return out
 
     def _scalar_totals(
@@ -786,7 +739,7 @@ def build_2d_model(
     perturbation: Optional[PerturbationConfig] = None,
     measurement: Optional[MeasurementConfig] = None,
     micro: Optional[Microbenchmarks] = None,
-    kernel: str = "numpy",
+    kernel: str = "plan",
 ) -> TwoDModel:
     """Instrument one 2-D iteration under ``d0`` and build the model."""
     measurement = measurement or MeasurementConfig()

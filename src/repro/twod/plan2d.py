@@ -18,17 +18,18 @@ extracts via basis replay.  :class:`EvaluationPlan2D` lowers one
 ``A`` for a whole ``(B, P)`` candidate population in a handful of array
 operations, then walks ``M`` with the exact steady-state freezing and
 closed-form extrapolation of :mod:`repro.core.plan` — the same
-tolerances, the same numba-JIT walk when available, the same pairwise
-tree-max fold over nodes.
+tolerances, the same numba-JIT walk when available (the pure-numpy
+:func:`_walk_dense` otherwise), the same pairwise tree-max fold over
+nodes.
 
 Unlike the 1-D plan there is no per-``(node, rows)`` row store: the 2-D
 stage quantities are cheap closed forms (the instrumented per-element
 compute rate scaled by tile area, plus the streaming-I/O terms), so the
 plan instead memoizes the *composed iteration matrices* per candidate
 batch — a repeated population (GBS re-scoring a grid, hill climbs
-revisiting neighbours) costs one gather instead of a rebuild.  Plans are
-cached in the same process-wide LRU as the 1-D plans
-(:func:`repro.core.plan.get_plan` with a shape-qualified key), so
+revisiting neighbours) costs one gather instead of a rebuild.  Each
+:class:`~repro.twod.jacobi2d.TwoDModel` owns its plans, one per grid
+shape, compiled through :func:`repro.core.plan.compile_plan`, so
 ``plan_cache_stats`` and the ``model/plan_cache/*`` telemetry cover both
 kernels.
 """
@@ -42,10 +43,9 @@ import numpy as np
 from repro.core import plan as planmod
 from repro.core.comm import maxplus_compose_batch
 from repro.exceptions import ModelError
-from repro.obs import Recorder
 from repro.program.sections import CommPattern
 
-__all__ = ["EvaluationPlan2D", "get_plan2d"]
+__all__ = ["EvaluationPlan2D"]
 
 #: Direction axis per direction index (north/south move rows — the halo
 #: is a tile *row* of ``cols`` elements; west/east move columns).
@@ -76,7 +76,6 @@ class EvaluationPlan2D:
             )
         self.grid_shape = (R, C)
         self.P = P
-        self.fingerprint = f"{model.fingerprint}:2d:{R}x{C}"
         micro = inputs.micro
 
         # -- per-rank constants (float64 row vectors) ----------------------
@@ -216,7 +215,6 @@ class EvaluationPlan2D:
         colc: np.ndarray,
         n_iter: int,
         *,
-        allow_numba: bool = True,
         reduce: bool = True,
     ) -> np.ndarray:
         """Score a validated candidate population.
@@ -234,7 +232,7 @@ class EvaluationPlan2D:
                 if len(self._m_memo) >= 8:
                     self._m_memo.pop(next(iter(self._m_memo)))
                 self._m_memo[key] = M
-        walk = planmod._numba_walk if allow_numba else None
+        walk = planmod._numba_walk
         if walk is not None:
             try:
                 totals = walk(np.ascontiguousarray(M), n_iter)
@@ -314,19 +312,3 @@ def _walk_dense(M: np.ndarray, n_iter: int) -> np.ndarray:
     totals[active] = last[active]
     return totals
 
-
-def get_plan2d(
-    model,
-    grid_shape: Tuple[int, int],
-    telemetry: Optional[Recorder] = None,
-) -> EvaluationPlan2D:
-    """The compiled 2-D plan for ``model`` at ``grid_shape``, through
-    the process-wide plan LRU (shape-qualified key, shared compile
-    telemetry and hit/miss counters)."""
-    R, C = grid_shape
-    return planmod.get_plan(
-        model,
-        telemetry,
-        key=f"{model.fingerprint}:2d:{R}x{C}",
-        factory=lambda m: EvaluationPlan2D(m, (R, C)),
-    )

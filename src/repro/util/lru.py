@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 __all__ = ["LRUCache"]
 
@@ -59,13 +59,6 @@ class LRUCache:
         an event-loop thread and executor threads.  Default false: the
         lock is a shared no-op and the hot path pays one ``with`` on a
         stateless object.
-    on_evict:
-        Optional ``(key, value)`` callback invoked after an entry is
-        evicted by :meth:`put` — *outside* the lock, so the callback may
-        itself touch caches.  Explicit :meth:`pop`/:meth:`clear` calls
-        do not trigger it (the caller already holds the value).  The
-        serving layer uses this to release a resident model's compiled
-        plans when the model-LRU drops it.
     """
 
     def __init__(
@@ -73,14 +66,12 @@ class LRUCache:
         maxsize: int,
         *,
         threadsafe: bool = False,
-        on_evict: Optional[Callable[[Hashable, Any], None]] = None,
     ) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.RLock() if threadsafe else _NULL_LOCK
-        self._on_evict = on_evict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -125,16 +116,13 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry if full."""
-        evicted = _MISS
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = value
             if len(self._data) > self.maxsize:
-                evicted = self._data.popitem(last=False)
+                self._data.popitem(last=False)
                 self.evictions += 1
-        if evicted is not _MISS and self._on_evict is not None:
-            self._on_evict(*evicted)
 
     def pop(self, key: Hashable, default: Optional[Any] = None) -> Any:
         """Remove and return ``key``'s value (``default`` when absent).

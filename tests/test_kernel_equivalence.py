@@ -1,12 +1,12 @@
-"""Golden equivalence: the numpy prediction kernel vs the scalar reference.
+"""Golden equivalence: the compiled plan kernel vs the scalar reference.
 
-The vectorised kernel (max-plus section matrices, batched stage tables,
-the persistent ``(node, rows)`` table cache) must reproduce the scalar
-path to within floating-point re-association noise.  Every optimisation
-in the numpy path is max-plus linear — only the *order* of summations
-differs — so the contract is tight: ``REL_TOL = 1e-12`` relative error
-on every seed program, cluster, distribution family, prefetch variant
-and iteration-profile program.
+The plan kernel (closed-form stage tables in a row store, max-plus
+iteration matrices, one vectorised steady-state walk) must reproduce
+the scalar path to within floating-point re-association noise.  Every
+optimisation in the plan is max-plus linear — only the *order* of
+summations differs — so the contract is tight: ``REL_TOL = 1e-12``
+relative error on every seed program, cluster, distribution family,
+prefetch variant and iteration-profile program.
 """
 
 from __future__ import annotations
@@ -24,12 +24,16 @@ from repro.apps import (
     RnaPipelineApp,
 )
 from repro.cluster import configs
-from repro.core.model import MhetaModel
+from repro.core.model import KERNELS, MhetaModel
 from repro.distribution import GenBlock, block, largest_remainder_round, spectrum
+from repro.exceptions import ModelError
 from repro.instrument.collect import collect_inputs
 
 REL_TOL = 1e-12
 SCALE = 0.05
+
+#: The fast kernels pinned to the scalar reference.
+FAST_KERNELS = [k for k in KERNELS if k != "scalar"]
 
 APPS = {
     "jacobi": JacobiApp,
@@ -46,12 +50,8 @@ CLUSTERS = {
 }
 
 
-def _model_pair(cluster, program, kernel="numpy"):
-    """(scalar reference, vectorized kernel) over identical inputs.
-
-    ``kernel`` selects the candidate under test: the numpy path or the
-    compiled evaluation plan (``kernel="plan"``) — both are pinned to
-    the same scalar reference at the same tolerance."""
+def _model_pair(cluster, program, kernel="plan"):
+    """(scalar reference, fast kernel) over identical inputs."""
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
     scalar = MhetaModel(program, cluster, inputs, kernel="scalar",
                         table_cache=0)
@@ -62,7 +62,7 @@ def _model_pair(cluster, program, kernel="numpy"):
 def _assert_close(a: float, b: float) -> None:
     assert a > 0 and b > 0
     assert abs(a - b) <= REL_TOL * max(abs(a), abs(b)), (
-        f"kernels diverge: scalar={a!r} numpy={b!r} "
+        f"kernels diverge: scalar={a!r} fast={b!r} "
         f"rel={abs(a - b) / max(abs(a), abs(b)):.3e}"
     )
 
@@ -78,7 +78,7 @@ def _candidates(cluster, program):
 # -- golden sweep: every seed app on every seed cluster ----------------------
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("app_name", sorted(APPS))
 def test_golden_equivalence(app_name, cluster_name, kernel):
@@ -89,7 +89,7 @@ def test_golden_equivalence(app_name, cluster_name, kernel):
         _assert_close(scalar.predict(dist), vector.predict(dist))
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", ["IO", "HY1"])
 @pytest.mark.parametrize("app_name", ["jacobi", "rna"])
 def test_golden_equivalence_prefetch(app_name, cluster_name, kernel):
@@ -101,12 +101,12 @@ def test_golden_equivalence_prefetch(app_name, cluster_name, kernel):
         _assert_close(scalar.predict(dist), vector.predict(dist))
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", ["DC", "HY2"])
 def test_golden_equivalence_iteration_profile(cluster_name, kernel):
     """Per-iteration work profiles force the full iteration walk (no
-    steady-state extrapolation) in both kernels; ``kernel="plan"``
-    models loop the numpy walk for profile programs."""
+    steady-state extrapolation); ``kernel="plan"`` models take the
+    scalar reference walk for profile programs."""
     cluster = CLUSTERS[cluster_name]()
     base = JacobiApp.paper(SCALE).structure
     profile = 1.0 + 0.5 * np.sin(np.arange(base.iterations))
@@ -117,7 +117,8 @@ def test_golden_equivalence_iteration_profile(cluster_name, kernel):
 
 
 def test_golden_equivalence_report_totals():
-    """`predict` (full report) agrees across kernels, per node."""
+    """`predict` (full report) agrees across kernels, per node, and
+    with the fast kernel's plain prediction."""
     cluster = configs.config_hy1()
     program = ConjugateGradientApp.paper(SCALE).structure
     scalar, vector = _model_pair(cluster, program)
@@ -127,6 +128,7 @@ def test_golden_equivalence_report_totals():
         _assert_close(rs.total_seconds, rv.total_seconds)
         for ns, nv in zip(rs.nodes, rv.nodes):
             _assert_close(ns.total_seconds, nv.total_seconds)
+        _assert_close(rv.total_seconds, vector.predict(dist))
 
 
 def test_predict_many_matches_serial_calls():
@@ -140,17 +142,19 @@ def test_predict_many_matches_serial_calls():
 
 
 def test_table_cache_does_not_change_results():
-    """Cached and cache-disabled numpy models agree bit-for-bit."""
+    """Cached and cache-disabled models agree bit-for-bit, on every
+    kernel; the scalar reference reuses its cached tables."""
     cluster = configs.config_io()
     program = LanczosApp.paper(SCALE).structure
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    cached = MhetaModel(program, cluster, inputs, kernel="numpy")
-    uncached = MhetaModel(program, cluster, inputs, kernel="numpy",
-                          table_cache=0)
-    for dist in _candidates(cluster, program):
-        assert cached.predict(dist) == uncached.predict(dist)
-    stats = cached.table_cache_stats
-    assert stats["hits"] > 0
+    for kernel in KERNELS:
+        cached = MhetaModel(program, cluster, inputs, kernel=kernel)
+        uncached = MhetaModel(program, cluster, inputs, kernel=kernel,
+                              table_cache=0)
+        for dist in _candidates(cluster, program):
+            assert cached.predict(dist) == uncached.predict(dist)
+        if kernel == "scalar":
+            assert cached.table_cache_stats["hits"] > 0
 
 
 # -- randomized distributions -------------------------------------------------
@@ -162,9 +166,8 @@ def _jacobi_pair(cluster_name):
     if cluster_name not in _JACOBI_FIXTURES:
         cluster = CLUSTERS[cluster_name]()
         program = JacobiApp.paper(SCALE).structure
-        scalar, vector = _model_pair(cluster, program)
-        _, plan = _model_pair(cluster, program, "plan")
-        _JACOBI_FIXTURES[cluster_name] = (program, scalar, vector, plan)
+        scalar, plan = _model_pair(cluster, program)
+        _JACOBI_FIXTURES[cluster_name] = (program, scalar, plan)
     return _JACOBI_FIXTURES[cluster_name]
 
 
@@ -180,11 +183,33 @@ def _jacobi_pair(cluster_name):
 def test_random_distributions_agree(weights, cluster_name):
     """Arbitrary GEN_BLOCK shapes — including wildly skewed ones a search
     would never visit — keep the kernels within tolerance."""
-    program, scalar, vector, plan = _jacobi_pair(cluster_name)
+    program, scalar, plan = _jacobi_pair(cluster_name)
     counts = largest_remainder_round(
         np.array(weights), program.n_rows, minimum=1
     )
     dist = GenBlock(counts)
-    reference = scalar.predict(dist)
-    _assert_close(reference, vector.predict(dist))
-    _assert_close(reference, plan.predict(dist))
+    _assert_close(scalar.predict(dist), plan.predict(dist))
+
+
+# -- iteration-count validation ----------------------------------------------
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+@pytest.mark.parametrize("mode", ["single", "batch", "serial", "report"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_iterations_below_one_rejected(kernel, mode, iterations):
+    """A run has at least one iteration: every kernel and entry point
+    raises ModelError instead of returning nan or failing elsewhere."""
+    cluster = configs.config_hy1()
+    program = JacobiApp.paper(SCALE).structure
+    inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
+    model = MhetaModel(program, cluster, inputs, kernel=kernel)
+    dist = block(cluster, program.n_rows)
+    calls = {
+        "single": lambda: model.predict(dist, iterations),
+        "batch": lambda: model.predict([dist], iterations, batch=True),
+        "serial": lambda: model.predict([dist], iterations, batch="serial"),
+        "report": lambda: model.predict(dist, iterations, report=True),
+    }
+    with pytest.raises(ModelError, match="iterations must be >= 1"):
+        calls[mode]()

@@ -6,6 +6,10 @@ agree with the discrete-event emulator *exactly* — for arbitrary program
 structures (any mix of communication patterns, tile counts, variable
 shapes, prefetching) on arbitrary clusters (any CPU/memory/disk mix) and
 arbitrary distributions.  Hypothesis generates the cases.
+
+Its second invariant, the fast path against its reference, is drawn on
+the same random programs at iteration counts long enough to reach the
+steady-state walk and its extrapolation.
 """
 
 import numpy as np
@@ -36,10 +40,10 @@ cluster_strategy = st.lists(node_strategy, min_size=2, max_size=6)
 
 
 @st.composite
-def program_strategy(draw):
+def program_strategy(draw, iterations=st.integers(1, 4)):
     n_rows = draw(st.sampled_from([64, 256, 1024]))
     cols = draw(st.sampled_from([16, 256, 2048]))
-    iterations = draw(st.integers(1, 4))
+    iterations = draw(iterations)
     prefetch = draw(st.booleans())
     builder = ProgramBuilder("random", n_rows=n_rows, iterations=iterations)
     builder.distributed("big", cols=cols, access="read-write")
@@ -166,3 +170,54 @@ def test_cross_distribution_prediction(cluster_spec, program, shares_a, shares_b
     actual = emulator.run(target).total_seconds
     predicted = model.predict(target)
     assert predicted == pytest.approx(actual, rel=1e-9, abs=1e-12)
+
+
+@settings(
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    cluster_spec=st.lists(node_strategy, min_size=1, max_size=6),
+    program=program_strategy(iterations=st.integers(8, 30)),
+    profiled=st.booleans(),
+    population=st.lists(
+        st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_plan_kernel_matches_scalar_on_long_random_programs(
+    cluster_spec, program, profiled, population
+):
+    """8-30 iterations engage the steady-state walk (and, with an
+    iteration profile, the scalar fallback); the plan's single, batched
+    and serial paths must all agree with the scalar reference, on any
+    node count including one."""
+    cluster = make_cluster(cluster_spec)
+    if profiled:
+        program = program.with_iteration_profile(
+            1.0 + 0.5 * np.sin(np.arange(program.iterations))
+        )
+    dists = [
+        GenBlock(
+            largest_remainder_round(
+                np.array(shares[: cluster.n_nodes]),
+                program.n_rows,
+                minimum=1,
+            )
+        )
+        for shares in population
+    ]
+    inputs = collect_inputs(
+        cluster, program, dists[0], perturbation=IDEAL, measurement=PERFECT
+    )
+    scalar = MhetaModel(program, cluster, inputs, kernel="scalar")
+    plan = MhetaModel(program, cluster, inputs, kernel="plan")
+    single = [plan.predict(d) for d in dists]
+    batch = plan.predict(dists, batch=True)
+    assert plan.predict(dists, batch="serial") == single
+    for d, one, many in zip(dists, single, batch):
+        want = scalar.predict(d)
+        assert one == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert float(many) == pytest.approx(want, rel=1e-12, abs=0.0)

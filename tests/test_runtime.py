@@ -1,5 +1,7 @@
 """Tests for the adaptive runtime and redistribution model."""
 
+import math
+
 import pytest
 
 from repro.cluster import baseline_cluster, config_dc
@@ -148,6 +150,18 @@ class TestAdaptiveRuntime:
         assert report.start_distribution == start
         # Starting at the optimum: no switch needed.
         assert not report.switched
+
+    def test_one_iteration_job_predicts_nothing_remaining(self):
+        """The instrumented iteration is the whole job: the remaining
+        prediction is exactly 0.0 (the model is never asked for zero
+        iterations) and the report stays finite."""
+        cluster = config_dc()
+        program = make_jacobi_like(n_rows=2048, cols=512, iterations=1)
+        report = AdaptiveRuntime(cluster, program).run()
+        assert report.predicted_remaining_seconds == 0.0
+        assert report.remaining_seconds == 0.0
+        assert math.isfinite(report.adaptive_seconds)
+        assert "nan" not in report.describe()
 
     def test_describe_renders(self):
         runtime, _ = self._runtime()

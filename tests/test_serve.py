@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,21 @@ class TestProtocol:
                 Query.from_payload(
                     {"op": "predict", "app": "jacobi", "counts": counts}
                 )
+
+    def test_deleted_kernel_rejected_with_choices(self):
+        """The numpy kernel is gone: naming it is a parse error that
+        lists the kernels the model accepts."""
+        from repro.core.model import KERNELS
+
+        with pytest.raises(ServeError, match="choose from") as err:
+            Query.from_payload(
+                {"op": "predict", "app": "jacobi", "kernel": "numpy"}
+            )
+        for kernel in KERNELS:
+            assert kernel in str(err.value)
+            Query.from_payload(
+                {"op": "predict", "app": "jacobi", "kernel": kernel}
+            )
 
     def test_bad_search_budget_rejected(self):
         with pytest.raises(ServeError):
@@ -514,38 +530,39 @@ class TestCoordinator:
         # (model construction is lazy: the library model above has not
         # compiled anything yet).
         assert plan_cache_stats()["compiles"] == compiles_baseline + 1
-        assert stats["plan_cache"]["size"] >= 1
-        # The library model shares the same fingerprint, so its predict
-        # hits the very plan the server compiled.
+        assert stats["plan_cache"]["compiles"] == compiles_baseline + 1
+        # The library model owns its own plan: one more compile, and the
+        # same answer as the server's.
         one_shot = model.predict(block(cluster, program.n_rows))
-        assert plan_cache_stats()["compiles"] == compiles_baseline + 1
+        assert plan_cache_stats()["compiles"] == compiles_baseline + 2
         rel = abs(results[0]["predicted_seconds"] - one_shot) / one_shot
         assert rel <= 1e-12
 
     def test_model_eviction_releases_compiled_plan(self):
-        """Evicting a resident model drops its plan from the shared plan
-        LRU — dead plans must not crowd out live ones."""
-        from repro.core.plan import plan_cache_stats, reset_plan_cache
-
-        reset_plan_cache()
+        """Evicting a resident model frees the compiled plan it owns —
+        dead plans must not outlive their models."""
         coordinator = ServeCoordinator(
             kernel="plan", window_seconds=0.005, model_cache_entries=1
         )
+
+        def resident_plan():
+            (key,) = list(coordinator._models)
+            return weakref.ref(coordinator._models.get(key).model._plan)
 
         async def main():
             async with _serve_fixture(coordinator) as client:
                 await client.predict(
                     "jacobi", config="DC", scale=SCALE, dist="blk",
                 )
-                first = plan_cache_stats()["size"]
+                jacobi_plan = resident_plan()
                 await client.predict(  # evicts the jacobi model
                     "cg", config="DC", scale=SCALE, dist="blk",
                 )
-                return first, plan_cache_stats()["size"]
+                return jacobi_plan, resident_plan()
 
-        first, second = run(main())
-        assert first == 1
-        assert second == 1  # cg's plan resident, jacobi's released
+        jacobi_plan, cg_plan = run(main())
+        assert jacobi_plan() is None  # released with its model
+        assert cg_plan() is not None  # the resident model keeps its own
 
     def test_stats_snapshot_reports_residency(self):
         coordinator = ServeCoordinator(window_seconds=0.005)

@@ -1,17 +1,19 @@
-"""Golden equivalence and plan-cache contract for the batched 2-D kernel.
+"""Golden equivalence and plan-ownership contract for the 2-D kernel.
 
 The 2-D analogue of ``test_kernel_equivalence.py`` + ``test_plan.py``:
-the scalar reference loop, the vectorized numpy kernel, and the compiled
-plan kernel must agree to <= 1e-12 relative on any valid ``GenBlock2D``,
-across cluster configurations (including heterogeneous memory where some
-tiles stream out-of-core); batched scoring must be bitwise equal to the
-serial path; and compiled 2-D plans share the process-wide LRU exactly
-like their 1-D siblings.
+the scalar reference loop and the compiled plan kernel must agree to
+<= 1e-12 relative on any valid ``GenBlock2D``, across cluster
+configurations (including heterogeneous memory where some tiles stream
+out-of-core); batched scoring must be bitwise equal to the serial path;
+and each model owns its compiled 2-D plans (one per grid shape), freed
+with it exactly like its 1-D sibling.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import baseline_cluster, config_dc
 from repro.core import plan as planmod
-from repro.core.plan import discard_plan, plan_cache_stats, reset_plan_cache
+from repro.core.model import KERNELS
+from repro.core.plan import plan_cache_stats, reset_plan_cache
 from repro.distribution import largest_remainder_round
 from repro.exceptions import ModelError
 from repro.instrument.collect import MeasurementConfig
@@ -71,7 +74,8 @@ _MODEL_CACHE = {}
 
 
 def _models(cluster_name="mixed2d"):
-    """(scalar, numpy, plan) sibling models over identical inputs."""
+    """(scalar, plan) sibling models over identical inputs; the plan
+    model is fresh on every call (no compiled plans yet)."""
     if cluster_name not in _MODEL_CACHE:
         cluster = CLUSTERS[cluster_name]()
         spec = Jacobi2DSpec(n_rows=512, n_cols=384, iterations=4)
@@ -79,15 +83,12 @@ def _models(cluster_name="mixed2d"):
         base = build_2d_model(
             cluster, spec, d0, perturbation=IDEAL, measurement=PERFECT
         )
-        _MODEL_CACHE[cluster_name] = tuple(
-            TwoDModel(cluster, spec, base.inputs, kernel=k)
-            for k in ("scalar", "numpy", "plan")
+        _MODEL_CACHE[cluster_name] = TwoDModel(
+            cluster, spec, base.inputs, kernel="scalar"
         )
-    scalar, numpy_m, plan = _MODEL_CACHE[cluster_name]
-    # Plans may reference the (reset) process-wide LRU: start fresh.
-    plan.release_plans()
-    numpy_m.release_plans()
-    return scalar, numpy_m, plan
+    scalar = _MODEL_CACHE[cluster_name]
+    plan = TwoDModel(scalar.cluster, scalar.spec, scalar.inputs, kernel="plan")
+    return scalar, plan
 
 
 def _dists(scalar, rng_seed=0, per_shape=3):
@@ -113,11 +114,15 @@ def _dists(scalar, rng_seed=0, per_shape=3):
 
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 def test_three_kernels_agree(cluster_name):
-    scalar, numpy_m, plan = _models(cluster_name)
-    for d in _dists(scalar):
+    """The scalar reference loop, the plan's single-layout path and its
+    batched path agree on every grid shape."""
+    scalar, plan = _models(cluster_name)
+    dists = _dists(scalar)
+    batched = plan.predict(dists, batch=True)
+    for d, got in zip(dists, batched):
         want = scalar.predict(d)
-        assert numpy_m.predict(d) == pytest.approx(want, rel=REL_TOL)
         assert plan.predict(d) == pytest.approx(want, rel=REL_TOL)
+        assert got == pytest.approx(want, rel=REL_TOL)
 
 
 @COMMON
@@ -131,7 +136,7 @@ def test_three_kernels_agree(cluster_name):
     ),
 )
 def test_kernels_agree_on_generated_layouts(shape_i, row_w, col_w):
-    scalar, numpy_m, plan = _models()
+    scalar, plan = _models()
     spec = scalar.spec
     shapes = factor_pairs(scalar.n_nodes)
     R, C = shapes[shape_i % len(shapes)]
@@ -144,22 +149,20 @@ def test_kernels_agree_on_generated_layouts(shape_i, row_w, col_w):
         ),
     )
     want = scalar.predict(d)
-    assert numpy_m.predict(d) == pytest.approx(want, rel=REL_TOL)
     assert plan.predict(d) == pytest.approx(want, rel=REL_TOL)
 
 
 def test_batch_is_bitwise_equal_to_serial():
-    _, numpy_m, plan = _models()
-    dists = _dists(numpy_m, rng_seed=1)
-    for model in (numpy_m, plan):
-        batched = model.predict(dists, batch=True)
-        serial = model.predict(dists, batch="serial")
-        assert isinstance(batched, np.ndarray)
-        assert batched.tolist() == serial
+    _, plan = _models()
+    dists = _dists(plan, rng_seed=1)
+    batched = plan.predict(dists, batch=True)
+    serial = plan.predict(dists, batch="serial")
+    assert isinstance(batched, np.ndarray)
+    assert batched.tolist() == serial
 
 
 def test_single_call_is_bitwise_equal_to_batch_row():
-    _, _, plan = _models()
+    _, plan = _models()
     dists = _dists(plan, rng_seed=2)
     batched = plan.predict(dists, batch=True)
     for d, want in zip(dists, batched):
@@ -167,7 +170,7 @@ def test_single_call_is_bitwise_equal_to_batch_row():
 
 
 def test_report_totals_match_prediction():
-    scalar, _, plan = _models()
+    scalar, plan = _models()
     d = block2d(scalar.spec.n_rows, scalar.spec.n_cols, (4, 2))
     for model in (scalar, plan):
         rep = model.predict(d, report=True)
@@ -180,75 +183,61 @@ def test_report_totals_match_prediction():
 
 
 def test_iterations_override_changes_result():
-    _, _, plan = _models()
+    _, plan = _models()
     d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
     full = plan.predict(d)
     short = plan.predict(d, iterations=1)
     assert 0 < short < full
 
 
-# -- plan cache ---------------------------------------------------------------
-
-
-def test_equivalent_models_share_one_plan_per_shape():
-    _, _, plan = _models()
-    twin = TwoDModel(plan.cluster, plan.spec, plan.inputs, kernel="plan")
-    assert twin.fingerprint == plan.fingerprint
-    pa = plan.ensure_plan((2, 4))
-    pb = twin.ensure_plan((2, 4))
-    assert pa is pb
-    stats = plan_cache_stats()
-    assert stats["compiles"] == 1
-    assert stats["hits"] == 1
+# -- plan ownership -----------------------------------------------------------
 
 
 def test_distinct_shapes_compile_distinct_plans():
-    _, _, plan = _models()
+    _, plan = _models()
     plans = {
         id(plan.ensure_plan(shape))
         for shape in factor_pairs(plan.n_nodes)
     }
     assert len(plans) == len(factor_pairs(plan.n_nodes))
     assert plan_cache_stats()["compiles"] == len(plans)
-    # Shape-qualified fingerprints keep entries distinct in the LRU.
-    fps = {plan.ensure_plan(s).fingerprint for s in factor_pairs(8)}
-    assert len(fps) == len(plans)
-    for fp in fps:
-        assert ":2d:" in fp
+    # A model compiles each shape once.
+    for shape in factor_pairs(plan.n_nodes):
+        plan.ensure_plan(shape)
+    assert plan_cache_stats()["compiles"] == len(plans)
 
 
-def test_numpy_kernel_builds_private_plans():
-    _, numpy_m, _ = _models()
-    numpy_m.predict(
-        [block2d(numpy_m.spec.n_rows, numpy_m.spec.n_cols, (2, 4))],
-        batch=True,
-    )
-    assert plan_cache_stats()["size"] == 0  # nothing went process-wide
-
-
-def test_release_plans_discards_cache_entries():
-    _, _, plan = _models()
-    plan.ensure_plan((2, 4))
-    plan.ensure_plan((4, 2))
-    assert plan_cache_stats()["size"] == 2
-    plan.release_plans()
-    assert plan._plans == {}
-    assert plan_cache_stats()["size"] == 0
-    plan.release_plans()  # releasing twice is a no-op
-    assert not discard_plan("no-such-fingerprint")
+def test_plan_model_is_freed_by_refcount():
+    """2-D plans hold no reference back to their model, so dropping the
+    model frees it and every plan it owns without cyclic collection."""
+    _, plan = _models()
+    plan.predict(_dists(plan, rng_seed=8, per_shape=2), batch=True)
+    model_ref = weakref.ref(plan)
+    plan_refs = [weakref.ref(p) for p in plan._plans.values()]
+    assert plan_refs
+    gc.disable()
+    try:
+        del plan
+        assert model_ref() is None
+        assert all(ref() is None for ref in plan_refs)
+    finally:
+        gc.enable()
 
 
 def test_plan_results_survive_release_and_recompile():
-    _, _, plan = _models()
+    """Releasing plans with their model and compiling fresh ones for an
+    equal model gives bit-identical results."""
+    _, plan = _models()
     dists = _dists(plan, rng_seed=3)
     before = plan.predict(dists, batch=True)
-    plan.release_plans()
-    after = plan.predict(dists, batch=True)
+    _, fresh = _models()
+    del plan
+    after = fresh.predict(dists, batch=True)
     assert (before == after).all()
 
 
 def test_pickled_model_drops_plans_and_recompiles():
-    _, _, plan = _models()
+    _, plan = _models()
     dists = _dists(plan, rng_seed=4)
     want = plan.predict(dists, batch=True)
     clone = pickle.loads(pickle.dumps(plan))
@@ -258,7 +247,7 @@ def test_pickled_model_drops_plans_and_recompiles():
 
 
 def test_matrix_memo_is_bounded():
-    _, _, plan = _models()
+    _, plan = _models()
     spec = plan.spec
     rng = np.random.RandomState(11)
     compiled = plan.ensure_plan((2, 4))
@@ -282,7 +271,7 @@ def test_matrix_memo_is_bounded():
 
 
 def test_plan_stats_shape():
-    _, _, plan = _models()
+    _, plan = _models()
     plan.predict(
         _dists(plan, rng_seed=5, per_shape=1), batch=True
     )
@@ -296,13 +285,34 @@ def test_plan_stats_shape():
 
 
 def test_unknown_kernel_rejected():
-    _, _, plan = _models()
-    with pytest.raises(ModelError):
-        TwoDModel(plan.cluster, plan.spec, plan.inputs, kernel="cuda")
+    _, plan = _models()
+    for kernel in ("cuda", "numpy"):
+        with pytest.raises(ModelError):
+            TwoDModel(plan.cluster, plan.spec, plan.inputs, kernel=kernel)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+@pytest.mark.parametrize("mode", ["single", "batch", "serial", "report"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_iterations_below_one_rejected(kernel, mode, iterations):
+    """A run has at least one iteration: every kernel and entry point
+    raises ModelError instead of failing elsewhere."""
+    scalar, _ = _models()
+    model = TwoDModel(scalar.cluster, scalar.spec, scalar.inputs,
+                      kernel=kernel)
+    d = block2d(model.spec.n_rows, model.spec.n_cols, (2, 4))
+    calls = {
+        "single": lambda: model.predict(d, iterations),
+        "batch": lambda: model.predict([d], iterations, batch=True),
+        "serial": lambda: model.predict([d], iterations, batch="serial"),
+        "report": lambda: model.predict(d, iterations, report=True),
+    }
+    with pytest.raises(ModelError, match="iterations must be >= 1"):
+        calls[mode]()
 
 
 def test_wrong_coverage_rejected():
-    _, _, plan = _models()
+    _, plan = _models()
     with pytest.raises(ModelError):
         plan.predict(block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 2)))
     with pytest.raises(ModelError):
@@ -310,7 +320,7 @@ def test_wrong_coverage_rejected():
 
 
 def test_report_plus_batch_rejected():
-    _, _, plan = _models()
+    _, plan = _models()
     d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
     with pytest.raises(ModelError):
         plan.predict([d], batch=True, report=True)
@@ -320,7 +330,7 @@ def test_report_plus_batch_rejected():
 
 
 def test_batch_telemetry_and_plan_gauges():
-    _, _, plan = _models()
+    _, plan = _models()
     rec = Recorder()
     dists = _dists(plan, rng_seed=6, per_shape=1)
     plan.predict(dists, batch=True, telemetry=rec)
@@ -340,7 +350,7 @@ def test_numba_disabled_by_env(monkeypatch):
     planmod._reset_numba_for_tests()
     try:
         assert planmod._resolve_numba_walk() is None
-        _, _, plan = _models()
+        _, plan = _models()
         d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
         assert plan.predict(d) > 0
     finally:
@@ -353,7 +363,7 @@ def test_numba_walk_matches_dense_fallback():
     absent this is trivially the same code path)."""
     planmod._reset_numba_for_tests()
     try:
-        scalar, _, plan = _models()
+        scalar, plan = _models()
         dists = _dists(plan, rng_seed=7, per_shape=2)
         out = plan.predict(dists, batch=True)
         want = np.array([scalar.predict(d) for d in dists])
