@@ -40,8 +40,7 @@ JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_model_speed.json"
 REQUIRED_SPEEDUP = 3.0
 
 #: Hard gate for the compiled-plan kernel: batched plan throughput must
-#: beat the batched scalar seed by at least this factor (held in both
-#: numba and pure-numpy fallback modes — CI runs both legs).
+#: beat the batched scalar seed by at least this factor.
 REQUIRED_PLAN_SPEEDUP = 8.0
 
 #: The batched numpy-cached figure this optimisation round started
@@ -210,7 +209,7 @@ def test_kernel_throughput_and_search(benchmark, save_result):
     search = _search_walltime(cluster, program, models)
     telemetry = _telemetry_overhead(models["plan-cached"], candidates)
 
-    from repro.core.plan import numba_active, plan_cache_stats
+    from repro.core.plan import plan_cache_stats
 
     baseline = throughput["scalar-uncached"]["evaluations_per_second"]
     default = throughput["plan-cached"]["evaluations_per_second"]
@@ -247,7 +246,6 @@ def test_kernel_throughput_and_search(benchmark, save_result):
         "telemetry_overhead": telemetry,
         "table_cache_stats": models["plan-cached"].table_cache_stats,
         "plan_cache_stats": plan_cache_stats(),
-        "plan_numba_active": numba_active(),
     }
     JSON_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -276,7 +274,7 @@ def test_kernel_throughput_and_search(benchmark, save_result):
         f"(search required >= {REQUIRED_SPEEDUP:.0f}x)"
     )
     lines.append(
-        f"  plan kernel (numba {'on' if numba_active() else 'off'}): "
+        f"  plan kernel: "
         f"{plan_vs_scalar:.2f}x vs batched scalar seed "
         f"(required >= {REQUIRED_PLAN_SPEEDUP:.0f}x), "
         f"{plan_vs_reference:.2f}x vs the pre-plan numpy-cached figure "
@@ -298,12 +296,10 @@ def test_kernel_throughput_and_search(benchmark, save_result):
         f"{REQUIRED_SPEEDUP}x (evals {eval_speedup:.2f}x, "
         f"batched plan {plan_vs_scalar:.2f}x)"
     )
-    # The compiled plan must hold its floor in whichever mode this run
-    # is in (numba leg or pure-numpy fallback leg).
+    # The compiled plan must hold its floor.
     assert plan_vs_scalar >= REQUIRED_PLAN_SPEEDUP, (
         f"batched plan speedup {plan_vs_scalar:.2f}x vs the scalar seed "
-        f"is below the {REQUIRED_PLAN_SPEEDUP}x hard gate "
-        f"(numba_active={numba_active()})"
+        f"is below the {REQUIRED_PLAN_SPEEDUP}x hard gate"
     )
     # A disabled recorder must be near-free on the hot path; the gate
     # uses the *unclamped* value so negative noise cannot hide drift.

@@ -12,8 +12,8 @@ machine-readable scoreboard ``BENCH_twod_speed.json`` at the repo root:
 * the golden-equivalence figure (worst relative disagreement of the
   batched plan kernel against the scalar reference; must be <= 1e-12),
 * the headline batched speedup — the hard CI gate asserts the batched
-  plan kernel beats the scalar loop by >= 5x in whichever numba mode
-  this run is in (the recorded target is 10x),
+  plan kernel beats the scalar loop by >= 5x (the recorded target is
+  10x),
 * a cluster configuration where the best genuinely-2-D layout beats
   the best 1-D strip spectrum — the payoff the kernel speed pays for.
 """
@@ -45,7 +45,7 @@ from repro.twod import (
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_twod_speed.json"
 
 #: Hard CI gate: the batched plan kernel must beat the batched scalar
-#: reference loop by at least this factor, numba or not.
+#: reference loop by at least this factor.
 REQUIRED_BATCHED_SPEEDUP = 5.0
 
 #: The headline target the scoreboard records against.
@@ -210,7 +210,7 @@ def test_twod_kernel_throughput(benchmark, save_result):
     golden = _golden_equivalence(models, candidates)
     payoff = _twod_beats_one_d()
 
-    from repro.core.plan import numba_active, plan_cache_stats
+    from repro.core.plan import plan_cache_stats
 
     scalar = batched["scalar"]["evaluations_per_second"]
     plan_speedup = batched["plan"]["evaluations_per_second"] / scalar
@@ -238,7 +238,6 @@ def test_twod_kernel_throughput(benchmark, save_result):
         },
         "two_d_vs_one_d": payoff,
         "plan_cache_stats": plan_cache_stats(),
-        "plan_numba_active": numba_active(),
     }
     JSON_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -260,8 +259,7 @@ def test_twod_kernel_throughput(benchmark, save_result):
     lines.append(
         f"  batched speedup vs scalar: plan {plan_speedup:.1f}x "
         f"(required >= {REQUIRED_BATCHED_SPEEDUP:.0f}x, "
-        f"target {TARGET_BATCHED_SPEEDUP:.0f}x; "
-        f"numba {'on' if numba_active() else 'off'})"
+        f"target {TARGET_BATCHED_SPEEDUP:.0f}x)"
     )
     lines.append(
         f"  golden equivalence: plan {golden['plan']:.2e} "
@@ -282,11 +280,10 @@ def test_twod_kernel_throughput(benchmark, save_result):
             f"{label} kernel disagrees with the scalar reference by "
             f"{worst:.2e} (> {GOLDEN_REL_TOL:.0e})"
         )
-    # ... and fast: the hard gate holds in numba and fallback modes.
+    # ... and fast.
     assert plan_speedup >= REQUIRED_BATCHED_SPEEDUP, (
         f"batched plan speedup {plan_speedup:.2f}x vs the scalar loop is "
-        f"below the {REQUIRED_BATCHED_SPEEDUP}x hard gate "
-        f"(numba_active={numba_active()})"
+        f"below the {REQUIRED_BATCHED_SPEEDUP}x hard gate"
     )
     # And the speed must buy the paper's declined result: a cluster
     # where a genuinely 2-D layout beats every 1-D strip.

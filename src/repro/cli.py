@@ -99,13 +99,6 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
         "--scale", type=float, default=0.1,
         help="problem-size scale (1.0 = paper scale; default 0.1)",
     )
-    parser.add_argument(
-        "--no-fast-forward", action="store_true",
-        help="disable the emulator's steady-state cycle fast-forward: "
-        "every run is simulated event by event (the fast path is "
-        "equivalent to <= 1e-9 relative and falls back automatically "
-        "for perturbed or non-converging runs)",
-    )
     if config:
         parser.add_argument(
             "--config", default="HY1", help=f"configuration {CONFIGS}"
@@ -145,9 +138,8 @@ def _add_kernel(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel", choices=KERNELS, default="plan",
         help="MHETA evaluation kernel: the compiled evaluation plan "
-        "(plan, default; its walk is JIT-compiled when numba is "
-        "available) or the scalar reference; predictions agree to "
-        "<= 1e-12 relative",
+        "(plan, default) or the scalar reference; predictions agree "
+        "to <= 1e-12 relative",
     )
 
 
@@ -437,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs(p, cache=True)
     _add_kernel(p)
     _add_telemetry(p)
-    p.add_argument(
-        "--no-fast-forward", action="store_true",
-        help="disable the emulator fast path for verify queries",
-    )
 
     from repro.cluster.configs import DYNAMICS_SCENARIOS
 
@@ -796,7 +784,6 @@ def _cmd_emulate(args) -> str:
         iterations=args.iterations,
         io_mode=args.io_mode,
         dynamics=dynamics,
-        fast_forward=False if args.no_fast_forward else None,
         telemetry=rec,
     )
     out = [
@@ -1090,10 +1077,6 @@ def _cmd_query(args) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_fast_forward", False):
-        from repro.sim import set_fast_forward_default
-
-        set_fast_forward_default(False)
     if args.command == "table1":
         print(table1())
     elif args.command == "sweep":

@@ -31,7 +31,7 @@ invariant the adaptive runtime's what-if emulations rely on.
 
 Dynamics are *non-stationary by construction*: the steady-state
 fast-forward and the compiled emulation plans refuse any run with an
-active spec (:func:`repro.sim.steady.supports_fast_forward`).
+active spec (:func:`repro.sim.steady.fast_forwardable`).
 """
 
 from __future__ import annotations

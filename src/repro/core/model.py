@@ -71,8 +71,7 @@ from repro.util.lru import LRUCache
 __all__ = ["MhetaModel", "KERNELS", "DEFAULT_TABLE_CACHE_ENTRIES"]
 
 #: Selectable evaluation kernels: the scalar reference and the compiled
-#: :class:`repro.core.plan.EvaluationPlan` (the default; its walk is
-#: JIT-compiled with numba when available).
+#: :class:`repro.core.plan.EvaluationPlan` (the default).
 KERNELS = ("scalar", "plan")
 
 #: Default bound of the per-``(node, rows)`` table cache.  Generous for

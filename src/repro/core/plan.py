@@ -28,11 +28,7 @@ with one gather, a few array builds and one steady-state walk:
    walk (:meth:`MhetaModel._walk_scalar`: identical tolerances and
    extrapolation arithmetic), applied per candidate, runs over
    preallocated rotating buffers; single-matrix programs take a fused
-   walk loop that is JIT-compiled with numba when available
-   (``REPRO_PLAN_NUMBA=0`` disables) and always has a pure-numpy twin
-   with bit-identical semantics — explicit loops replay numpy's
-   elementwise adds and exact max reductions, so both modes agree
-   bit-for-bit.
+   walk loop.
 
 Each model owns its plan (:meth:`MhetaModel.ensure_plan`).  The plan
 keeps what it reads — the oracle, the stage model, the table LRU — and
@@ -47,7 +43,6 @@ layout is deliberately flat and contiguous — ``(B, P)`` clocks,
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -65,7 +60,6 @@ __all__ = [
     "plan_cache_stats",
     "record_plan_gauges",
     "reset_plan_cache",
-    "numba_active",
 ]
 
 #: Table-store row bound per plan.  A store row is a handful of floats;
@@ -87,122 +81,6 @@ _DIAG = 0  # NONE pattern or P == 1: diagonal max-plus matrix
 _TRI = 1  # nearest neighbour: tridiagonal matrix, stored as bands
 _DENSE = 2  # reduction / allgather: constant base matrix + column add
 _PIPE = 3  # pipeline: no clock-independent matrix, prefix-scan replay
-
-
-# -- numba (optional JIT for the fused single-matrix walk) -------------------
-#
-# numba is strictly optional: the import is attempted lazily on first
-# plan compile, disabled by REPRO_PLAN_NUMBA=0, and any failure (absent
-# package, unsupported platform) silently selects the numpy twin.  The
-# jitted walk replays the numpy walk loop-for-loop (elementwise adds,
-# exact max reductions, identical tolerance arithmetic), so the two
-# modes return bit-identical totals.
-
-_numba_walk: Optional[Callable] = None
-_numba_tried = False
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("REPRO_PLAN_NUMBA", "").strip().lower() in (
-        "0", "false", "off", "no",
-    )
-
-
-def numba_active() -> bool:
-    """Whether compiled plans are currently using the numba walk."""
-    return _numba_walk is not None
-
-
-def _resolve_numba_walk() -> Optional[Callable]:
-    """Build (once) the jitted fused walk, or ``None`` when unavailable."""
-    global _numba_walk, _numba_tried
-    if _numba_tried:
-        return _numba_walk
-    _numba_tried = True
-    if _numba_disabled():
-        return None
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        @numba.njit(cache=False)
-        def _walk_jit(M, n_iter):  # pragma: no cover - exercised when
-            # numba is installed (CI matrix leg); semantics pinned by
-            # the numpy twin below.
-            B = M.shape[0]
-            P = M.shape[1]
-            cur = np.zeros((B, P))
-            nxt = np.empty((B, P))
-            last = np.empty((B, P))
-            second = np.empty((B, P))
-            steady = np.empty((B, P))
-            prev_steady = np.empty((B, P))
-            totals = np.empty((B, P))
-            active = np.ones(B, np.bool_)
-            n_active = B
-            have_last = False
-            have_second = False
-            have_prev = False
-            simulate = 0
-            while simulate < n_iter:
-                for b in range(B):
-                    for n in range(P):
-                        m = -np.inf
-                        for j in range(P):
-                            v = M[b, n, j] + cur[b, j]
-                            if v > m:
-                                m = v
-                        nxt[b, n] = m
-                second, last, cur, nxt = last, nxt, nxt, second
-                have_second = have_last
-                have_last = True
-                simulate += 1
-                if have_second:
-                    prev_steady, steady = steady, prev_steady
-                    for b in range(B):
-                        for n in range(P):
-                            steady[b, n] = last[b, n] - second[b, n]
-                    if have_prev:
-                        k = n_iter - simulate
-                        for b in range(B):
-                            if not active[b]:
-                                continue
-                            ok = True
-                            for n in range(P):
-                                tol = _ATOL + _RTOL * abs(prev_steady[b, n])
-                                if abs(steady[b, n] - prev_steady[b, n]) > tol:
-                                    ok = False
-                                    break
-                            if ok:
-                                for n in range(P):
-                                    totals[b, n] = (
-                                        last[b, n] + steady[b, n] * k
-                                    )
-                                active[b] = False
-                                n_active -= 1
-                        if n_active == 0:
-                            return totals
-                    have_prev = True
-            for b in range(B):
-                if active[b]:
-                    for n in range(P):
-                        totals[b, n] = last[b, n]
-            return totals
-
-        # Warm the dispatcher so the first real execute pays no JIT.
-        _walk_jit(np.zeros((1, 1, 1)), 3)
-        _numba_walk = _walk_jit
-    except Exception:
-        _numba_walk = None
-    return _numba_walk
-
-
-def _reset_numba_for_tests() -> None:
-    """Drop the resolved walk so tests can re-exercise the gate."""
-    global _numba_walk, _numba_tried
-    _numba_walk = None
-    _numba_tried = False
 
 
 # -- lowering state machine ---------------------------------------------------
@@ -1016,18 +894,7 @@ class EvaluationPlan:
             else:
                 entry = ctx[self._matrix_buf]
                 M = entry[0] if isinstance(entry, tuple) else entry
-            walk = _numba_walk
-            if walk is not None:
-                try:
-                    # The jitted walk wants ``(B, n, k)`` indexing; the
-                    # transposed build hands it a strided view.
-                    nM = (ctx[self._walk_mt].transpose(1, 2, 0)
-                          if M is None else M)
-                    totals = walk(nM, n_iter)
-                except Exception:
-                    totals = self._walk_fused(M, n_iter, ctx)
-            else:
-                totals = self._walk_fused(M, n_iter, ctx)
+            totals = self._walk_fused(M, n_iter, ctx)
         else:
             ops = [make(g, ctx) for make in self._op_makers]
             totals = self._walk_ops(ops, n_iter, B)
@@ -1215,7 +1082,6 @@ def compile_plan(build: Callable[[], object],
     goes through here: the 1-D and 2-D evaluation plans their models
     own, and the emulation plans of :mod:`repro.sim.plan_sim`."""
     global _compiles, _compile_seconds
-    _resolve_numba_walk()
     t0 = time.perf_counter()
     if telemetry:
         with telemetry.span("plan/compile"):
@@ -1230,13 +1096,8 @@ def compile_plan(build: Callable[[], object],
 
 
 def plan_cache_stats() -> dict:
-    """Process-wide plan compile counters, plus whether the numba walk
-    is active."""
-    return {
-        "compiles": _compiles,
-        "compile_seconds": _compile_seconds,
-        "numba_active": numba_active(),
-    }
+    """Process-wide plan compile counters."""
+    return {"compiles": _compiles, "compile_seconds": _compile_seconds}
 
 
 def record_plan_gauges(rec: Recorder, resident: int) -> None:

@@ -25,16 +25,14 @@ from repro.sim.engine import Engine, Delay, Send, Recv, Spawn
 from repro.sim.disk import DiskModel
 from repro.sim.memory import MemoryPlan, VariablePlacement, plan_memory
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
-from repro.sim.steady import FastForwardPolicy, supports_fast_forward
+from repro.sim.steady import PROBE_ITERATIONS, fast_forwardable
 from repro.sim.executor import (
     IO_MODES,
     ClusterEmulator,
     RunResult,
     emulate,
     emulate_many,
-    fast_forward_default,
     run_cache_keys,
-    set_fast_forward_default,
 )
 from repro.sim.plan_sim import EmulationPlan, get_emulation_plan
 from repro.sim.analysis import NodeBreakdown, RunAnalysis, analyse_run
@@ -51,8 +49,8 @@ __all__ = [
     "plan_memory",
     "PerturbationConfig",
     "PerturbationModel",
-    "FastForwardPolicy",
-    "supports_fast_forward",
+    "PROBE_ITERATIONS",
+    "fast_forwardable",
     "IO_MODES",
     "ClusterEmulator",
     "RunResult",
@@ -61,8 +59,6 @@ __all__ = [
     "run_cache_keys",
     "EmulationPlan",
     "get_emulation_plan",
-    "fast_forward_default",
-    "set_fast_forward_default",
     "NodeBreakdown",
     "RunAnalysis",
     "analyse_run",

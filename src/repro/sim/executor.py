@@ -29,10 +29,10 @@ from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.memory import emulator_plan, plan_memory
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
 from repro.sim.steady import (
-    FastForwardPolicy,
+    PROBE_ITERATIONS,
     extrapolate_ends,
+    fast_forwardable,
     steady_deltas,
-    supports_fast_forward,
 )
 from repro.sim.trace import (
     EventRecord,
@@ -48,31 +48,10 @@ __all__ = [
     "emulate",
     "emulate_many",
     "run_cache_keys",
-    "set_fast_forward_default",
-    "fast_forward_default",
 ]
 
 #: CPU cost of issuing one asynchronous read (system-call overhead).
 PREFETCH_ISSUE_OVERHEAD = 20e-6
-
-#: Process-wide default for ``ClusterEmulator.run(fast_forward=None)``.
-#: The CLI's ``--no-fast-forward`` flips it off for a whole invocation.
-_FAST_FORWARD_DEFAULT = True
-
-
-def set_fast_forward_default(enabled: bool) -> bool:
-    """Set the process-wide fast-forward default; returns the previous
-    value (so tests can restore it)."""
-    global _FAST_FORWARD_DEFAULT
-    previous = _FAST_FORWARD_DEFAULT
-    _FAST_FORWARD_DEFAULT = bool(enabled)
-    return previous
-
-
-def fast_forward_default() -> bool:
-    """The current process-wide fast-forward default."""
-    return _FAST_FORWARD_DEFAULT
-
 
 #: Valid ``io_mode`` values for the consolidated emulation API.
 IO_MODES = ("auto", "sync", "prefetch", "instrumented")
@@ -268,18 +247,12 @@ class ClusterEmulator:
         cluster: ClusterSpec,
         program: ProgramStructure,
         perturbation: Optional[PerturbationConfig] = None,
-        fast_forward_policy: Optional[FastForwardPolicy] = None,
         dynamics=None,
     ) -> None:
         self.cluster = cluster
         self.program = program
         self.perturbation = (
             perturbation if perturbation is not None else PerturbationConfig()
-        )
-        self.fast_forward_policy = (
-            fast_forward_policy
-            if fast_forward_policy is not None
-            else FastForwardPolicy()
         )
         #: Effective time-varying behaviour: an explicit spec, the
         #: cluster's attached one, or ``None`` (static).  ``False``
@@ -298,7 +271,7 @@ class ClusterEmulator:
         *,
         iterations: Optional[int] = None,
         io_mode: str = "auto",
-        fast_forward: Optional[bool] = None,
+        fast_forward: bool = True,
         observer: Optional[Observer] = None,
         telemetry=None,
         iteration_offset: int = 0,
@@ -315,13 +288,15 @@ class ClusterEmulator:
         instrumented run uses 1).
 
         ``fast_forward`` controls the steady-state cycle fast path
-        (:mod:`repro.sim.steady`): ``None`` follows the process-wide
-        default (on; see :func:`set_fast_forward_default`), ``False``
-        forces full event-by-event simulation.  The fast path engages
-        only for unobserved, deterministic, iteration-invariant,
-        *stationary* runs whose probe converges — everything else
-        (including any active cluster dynamics) falls back to full
-        simulation automatically.
+        (:mod:`repro.sim.steady`); ``False`` forces full event-by-event
+        simulation (the reference).  An eligible run — unobserved,
+        deterministic, iteration-invariant, *stationary* — ends in
+        exactly one of two ways: its probe is replayed by the compiled
+        :class:`~repro.sim.plan_sim.EmulationPlan` and extrapolated, or
+        it runs the full engine, counted under ``sim/plan_fallbacks``
+        with its cause (``io_mode``, ``not_converged`` or
+        ``dead/<kind>``).  Ineligible runs (including any active
+        cluster dynamics) always run the full engine.
 
         ``iteration_offset`` emulates a mid-run segment: iterations
         ``[offset, offset + n)`` of the global schedule.  Dynamics
@@ -334,8 +309,8 @@ class ClusterEmulator:
         per-node phase totals (a :class:`PhaseAccumulator` chained into
         ``_NodeCtx.observe``) plus the fast-forward decision.  The
         accumulator does not count as an *observer* for fast-forward
-        gating — it rides along on whatever iterations are actually
-        simulated (the probe, under fast-forward), so enabling
+        gating — it rides along on whatever iterations the engine
+        actually simulates (none, for a plan-served run), so enabling
         telemetry never changes the simulated timing or the decision.
         """
         instr, io_override = _resolve_io_mode(io_mode)
@@ -367,59 +342,58 @@ class ClusterEmulator:
             phase = PhaseAccumulator()
             sim_observer = chain_observers(phase, observer)
 
-        use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward
-        policy = self.fast_forward_policy
-        if (
-            use_fast
-            and iteration_offset == 0
-            and n_iter > policy.probe_iterations
-            and supports_fast_forward(
-                self.program,
-                self.perturbation,
-                observer=observer,
-                instrumented=instr,
-                dynamics=self.dynamics,
-            )
+        result = None
+        if self._fast_forward_eligible(
+            fast_forward, n_iter, instr, iteration_offset, observer
         ):
-            # Compiled-plan replay first: when this configuration's
-            # EmulationPlan is live, the probe is a vectorised walk
-            # over precompiled schedules instead of an event-engine
-            # simulation; the convergence check and extrapolation are
-            # the same.  Any plan miss (retired plan, non-converged
-            # probe) falls through to the engine probe below.  Plans
-            # are compiled for the program's own streaming style, so a
-            # forced ``io_mode`` only rides them when it matches.
-            if io_override is None or io_override == bool(self.program.prefetch):
-                result = self._plan_fast_forward(
-                    distribution, n_iter, policy, telemetry
-                )
-                if result is not None:
-                    if telemetry:
-                        self._record_run_telemetry(telemetry, phase, result)
-                    return result
-            # Probe the first few iterations; the probe's prefix is
-            # identical to the full run's (messages never cross
-            # iteration boundaries and no RNG is drawn), so on
-            # convergence the tail extrapolates and on failure we
-            # simply simulate from scratch.
-            probe = self._simulate(
-                distribution, sim_observer, instr,
-                policy.probe_iterations, io_override=io_override,
+            result = self._plan_run(distribution, n_iter, io_override, telemetry)
+        if result is None:
+            result = self._simulate(
+                distribution, sim_observer, instr, n_iter,
+                timeline=timeline, offset=iteration_offset,
+                io_override=io_override,
             )
-            deltas = steady_deltas(probe.iteration_ends, policy)
-            if deltas is not None:
-                result = self._fast_forward(probe, deltas, n_iter)
-                if telemetry:
-                    self._record_run_telemetry(telemetry, phase, result)
-                return result
-        result = self._simulate(
-            distribution, sim_observer, instr, n_iter,
-            timeline=timeline, offset=iteration_offset,
-            io_override=io_override,
-        )
         if telemetry:
             self._record_run_telemetry(telemetry, phase, result)
         return result
+
+    def _fast_forward_eligible(
+        self,
+        fast_forward: bool,
+        n_iter: int,
+        instrumented: bool,
+        iteration_offset: int,
+        observer: Optional[Observer] = None,
+    ) -> bool:
+        """The fast-forward eligibility gate shared by :meth:`run` and
+        :func:`emulate_many`: asked for, from iteration 0, longer than
+        the probe, and structurally steady (:func:`fast_forwardable`)."""
+        return (
+            fast_forward
+            and iteration_offset == 0
+            and n_iter > PROBE_ITERATIONS
+            and fast_forwardable(
+                self.program,
+                self.perturbation,
+                observer=observer,
+                instrumented=instrumented,
+                dynamics=self.dynamics,
+            )
+        )
+
+    def _plan_for(self, io_override: Optional[bool], telemetry=None):
+        """This configuration's :class:`EmulationPlan`, or ``None`` when
+        a forced ``io_mode`` differs from the program's own streaming
+        style (the only style plans are compiled for)."""
+        if io_override is not None and io_override != bool(self.program.prefetch):
+            return None
+        if self._emulation_plan is None:
+            from repro.sim.plan_sim import get_emulation_plan
+
+            self._emulation_plan = get_emulation_plan(
+                self.cluster, self.program, self.perturbation, telemetry
+            )
+        return self._emulation_plan
 
     @staticmethod
     def _record_run_telemetry(
@@ -433,9 +407,8 @@ class ClusterEmulator:
         rec.set("sim/total_seconds", result.total_seconds)
         if phase is not None:
             simulated = max(phase.iterations.values(), default=0)
-            # Under fast-forward only the probe prefix was simulated;
-            # phase totals cover those iterations (steady per-iteration
-            # means still follow by dividing by this count).
+            # A plan-served run simulates no events, so its phase
+            # totals are empty and this count is 0.
             rec.set("sim/iterations_simulated", simulated)
             phase.record_into(rec)
 
@@ -472,45 +445,38 @@ class ClusterEmulator:
             iterations=n_iter,
         )
 
-    def _fast_forward(
-        self, probe: RunResult, deltas: List[float], n_iter: int
-    ) -> RunResult:
-        """Extend a converged probe to ``n_iter`` iterations closed-form."""
-        return self._extrapolated_result(
-            probe.distribution, probe.iteration_ends, deltas, n_iter
-        )
-
-    def _plan_fast_forward(
+    def _plan_run(
         self,
         distribution: GenBlock,
         n_iter: int,
-        policy: FastForwardPolicy,
+        io_override: Optional[bool],
         telemetry=None,
     ) -> Optional[RunResult]:
-        """Fast-forward via the compiled :class:`EmulationPlan`, or
-        ``None`` when the plan cannot serve this run (the caller then
-        takes the event-engine path).  Only called once the structural
-        gate (:func:`supports_fast_forward`) has passed."""
-        plan = self._emulation_plan
-        if plan is None or plan.policy != policy:
-            from repro.sim.plan_sim import get_emulation_plan
-
-            plan = get_emulation_plan(
-                self.cluster, self.program, self.perturbation, policy,
-                telemetry,
-            )
-            self._emulation_plan = plan
-        probe_ends = plan.probe_ends(distribution)
-        if probe_ends is None:
-            return None
-        deltas = steady_deltas(probe_ends, policy)
-        if deltas is None:
-            return None
+        """Fast-forward an eligible run via the compiled
+        :class:`EmulationPlan`, or ``None`` when the plan cannot serve
+        it and the full engine must — a miss counted under
+        ``sim/plan_fallbacks`` and ``sim/plan_fallbacks/<cause>``."""
+        plan = self._plan_for(io_override, telemetry)
+        if plan is None:
+            cause = "io_mode"
+        else:
+            probe_ends = plan.probe_ends(distribution)
+            if probe_ends is None:
+                # A retired plan's reason reads "<kind>: <detail>".
+                cause = "dead/" + plan.dead.split(":", 1)[0]
+            else:
+                deltas = steady_deltas(probe_ends)
+                if deltas is not None:
+                    if telemetry:
+                        telemetry.count("sim/plan_runs")
+                    return self._extrapolated_result(
+                        distribution, probe_ends, deltas, n_iter
+                    )
+                cause = "not_converged"
         if telemetry:
-            telemetry.count("sim/plan_runs")
-        return self._extrapolated_result(
-            distribution, probe_ends, deltas, n_iter
-        )
+            telemetry.count("sim/plan_fallbacks")
+            telemetry.count("sim/plan_fallbacks/" + cause)
+        return None
 
     def _extrapolated_result(
         self,
@@ -973,7 +939,7 @@ def run_cache_keys(
     io_mode: str = "auto",
     perturbation: Optional[PerturbationConfig] = None,
     dynamics=None,
-    fast_forward: Optional[bool] = None,
+    fast_forward: bool = True,
     iteration_offset: int = 0,
 ) -> List[str]:
     """The :class:`~repro.parallel.cache.RunCache` key of each
@@ -988,9 +954,7 @@ def run_cache_keys(
         iterations if iterations is not None else program.iterations,
         perturbation if perturbation is not None else PerturbationConfig(),
         instrumented=instr,
-        fast_forward=(
-            _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
-        ),
+        fast_forward=fast_forward,
         dynamics=_resolve_dynamics(cluster, dynamics),
         io_mode=io_mode,
         iteration_offset=iteration_offset,
@@ -1007,7 +971,7 @@ def emulate(
     io_mode: str = "auto",
     perturbation: Optional[PerturbationConfig] = None,
     dynamics=None,
-    fast_forward: Optional[bool] = None,
+    fast_forward: bool = True,
     run_cache: Union[None, bool, "object"] = None,
     telemetry=None,
     observer: Optional[Observer] = None,
@@ -1111,7 +1075,7 @@ def emulate_many(
     io_mode: str = "auto",
     perturbation: Optional[PerturbationConfig] = None,
     dynamics=None,
-    fast_forward: Optional[bool] = None,
+    fast_forward: bool = True,
     run_cache: Union[None, bool, "object"] = None,
     telemetry=None,
     iteration_offset: int = 0,
@@ -1148,7 +1112,6 @@ def emulate_many(
         cluster, program, perturbation, dynamics=dyn if dyn is not None else False
     )
     n_iter = iterations if iterations is not None else program.iterations
-    use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
 
     store = None
     if run_cache is not False:
@@ -1168,7 +1131,7 @@ def emulate_many(
             io_mode=io_mode,
             perturbation=emulator.perturbation,
             dynamics=dynamics,
-            fast_forward=use_fast,
+            fast_forward=fast_forward,
             iteration_offset=iteration_offset,
         )
         for i, key in enumerate(keys):
@@ -1193,31 +1156,21 @@ def emulate_many(
     plan_served = 0
     fallbacks = 0
     if pending:
-        policy = emulator.fast_forward_policy
         batch_ends = None
-        if (
-            use_fast
-            and iteration_offset == 0
-            and n_iter > policy.probe_iterations
-            and (io_override is None or io_override == bool(program.prefetch))
-            and supports_fast_forward(
-                program, emulator.perturbation, instrumented=instr, dynamics=dyn
-            )
+        if emulator._fast_forward_eligible(
+            fast_forward, n_iter, instr, iteration_offset
         ):
-            from repro.sim.plan_sim import get_emulation_plan
-
-            plan = get_emulation_plan(
-                cluster, program, emulator.perturbation, policy, telemetry
-            )
-            batch_ends = plan.probe_ends_batch(
-                [distributions[i] for i in pending]
-            )
+            plan = emulator._plan_for(io_override, telemetry)
+            if plan is not None:
+                batch_ends = plan.probe_ends_batch(
+                    [distributions[i] for i in pending]
+                )
         for b, i in enumerate(pending):
             dist = distributions[i]
             result = None
             if batch_ends is not None:
                 probe_ends = batch_ends[b].tolist()
-                deltas = steady_deltas(probe_ends, policy)
+                deltas = steady_deltas(probe_ends)
                 if deltas is not None:
                     result = emulator._extrapolated_result(
                         dist, probe_ends, deltas, n_iter
@@ -1228,7 +1181,7 @@ def emulate_many(
                     dist,
                     iterations=n_iter,
                     io_mode=io_mode,
-                    fast_forward=use_fast,
+                    fast_forward=fast_forward,
                     telemetry=telemetry,
                     iteration_offset=iteration_offset,
                 )

@@ -2,7 +2,7 @@
 
 The event-engine emulator re-interprets the program structure — section
 loops, tile bounds, disk block streaming, message tags — on every run,
-even though for a fixed ``(cluster, program, perturbation, policy)`` the
+even though for a fixed ``(cluster, program, perturbation)`` the
 *shape* of the computation never changes and only the per-segment
 durations depend on the candidate distribution.  An
 :class:`EmulationPlan` performs that interpretation once and lowers the
@@ -29,36 +29,34 @@ fast-forward probe into three reusable artifacts:
    positions matter — so candidate populations share them.
 
 Replaying the probe is then a vectorised recurrence over ``(B, P)``
-clock arrays (scalar for a single candidate, numpy for a batch, with an
-optional numba twin resolved under the same ``REPRO_PLAN_NUMBA`` gate as
-the prediction plans), followed by the ordinary
-:func:`repro.sim.steady.steady_deltas` convergence check and
-closed-form extrapolation in the executor.
+clock arrays (scalar for a single candidate, numpy for a batch),
+followed by the ordinary :func:`repro.sim.steady.steady_deltas`
+convergence check and closed-form extrapolation in the executor.  This
+is the 1-D emulator's only fast path: a run the plan cannot serve runs
+the full event engine.
 
-Safety: plans engage only where :func:`supports_fast_forward` already
-allows the engine fast path, the first compiled candidate is
-self-checked against a real event-engine probe to <= 1e-9, and any
-broken assumption (skeleton mismatch, unmatched message, deadlocked
-schedule) permanently retires the plan so the engine path takes over.
+Safety: plans engage only for runs :func:`fast_forwardable`
+admits, the first compiled candidate is self-checked against a real
+event-engine probe to <= 1e-9, and any broken assumption (skeleton
+mismatch, unmatched message, deadlocked schedule) permanently retires
+the plan so the engine takes over.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.engine import Delay, Recv, Send
-from repro.sim.steady import FastForwardPolicy
+from repro.sim.steady import PROBE_ITERATIONS
 from repro.util.lru import LRUCache
 
 __all__ = [
     "EmulationPlan",
     "emulation_plan_key",
     "get_emulation_plan",
-    "emulation_numba_active",
 ]
 
 #: Instruction kinds of the compiled schedule.
@@ -85,88 +83,8 @@ _SELF_CHECK_RTOL = 1e-9
 
 class _PlanUnsupported(Exception):
     """Raised internally when a structural assumption breaks; the plan
-    is retired and the engine path handles the run."""
-
-
-# -- optional numba walk ------------------------------------------------------
-#
-# Same contract as repro.core.plan: strictly optional, resolved once,
-# disabled by REPRO_PLAN_NUMBA=0, silent numpy fallback, and the jitted
-# walk replays the numpy/scalar recurrence op for op (elementwise adds
-# and two-way max), so all three modes return bit-identical clocks.
-
-_numba_walk: Optional[Callable] = None
-_numba_tried = False
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("REPRO_PLAN_NUMBA", "").strip().lower() in (
-        "0", "false", "off", "no",
-    )
-
-
-def emulation_numba_active() -> bool:
-    """Whether batched emulation walks are currently numba-compiled."""
-    return _numba_walk is not None
-
-
-def _resolve_numba_walk() -> Optional[Callable]:
-    """Build (once) the jitted batched walk, or ``None`` when unavailable."""
-    global _numba_walk, _numba_tried
-    if _numba_tried:
-        return _numba_walk
-    _numba_tried = True
-    if _numba_disabled():
-        return None
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        @numba.njit(cache=False)
-        def _walk_jit(op_rank, op_kind, op_a, op_transfer, durs, P,
-                      n_chan, n_iter):  # pragma: no cover - exercised
-            # when numba is installed (CI matrix leg); semantics pinned
-            # by the numpy twin in EmulationPlan._walk_batch.
-            B, N = durs.shape
-            clock = np.zeros((B, P))
-            deliver = np.zeros((B, n_chan))
-            ends = np.zeros((B, P, n_iter))
-            for i in range(N):
-                r = op_rank[i]
-                k = op_kind[i]
-                a = op_a[i]
-                for b in range(B):
-                    c = clock[b, r] + durs[b, i]
-                    if k == _SEND:
-                        deliver[b, a] = c + op_transfer[i]
-                    elif k == _RECV:
-                        d = deliver[b, a]
-                        if d > c:
-                            c = d
-                    else:
-                        ends[b, r, a] = c
-                    clock[b, r] = c
-            return ends
-
-        _walk_jit(
-            np.zeros(1, np.int64),
-            np.full(1, _END, np.int64),
-            np.zeros(1, np.int64),
-            np.zeros(1),
-            np.zeros((1, 1)),
-            1, 1, 1,
-        )  # warm the dispatcher so the first real walk pays no JIT
-        _numba_walk = _walk_jit
-    except Exception:
-        _numba_walk = None
-    return _numba_walk
-
-
-def _reset_numba_for_tests() -> None:
-    global _numba_walk, _numba_tried
-    _numba_walk = None
-    _numba_tried = False
+    is retired and the engine path handles the run.  Messages read
+    ``"<kind>: <detail>"``; the kind names the fallback in telemetry."""
 
 
 # -- keys and the process-wide plan LRU ---------------------------------------
@@ -174,28 +92,25 @@ def _reset_numba_for_tests() -> None:
 _plan_cache = LRUCache(PLAN_CACHE_ENTRIES, threadsafe=True)
 
 
-def emulation_plan_key(cluster, program, perturbation,
-                       policy: FastForwardPolicy) -> str:
+def emulation_plan_key(cluster, program, perturbation) -> str:
     """Content key of one emulation plan in the process-wide LRU."""
     from repro.parallel.cache import content_key
 
-    return "emulate:" + content_key(cluster, program, perturbation, policy)
+    return "emulate:" + content_key(cluster, program, perturbation)
 
 
 def get_emulation_plan(cluster, program, perturbation,
-                       policy: FastForwardPolicy,
                        telemetry=None) -> "EmulationPlan":
     """The process-wide :class:`EmulationPlan` for the configuration,
     compiled on first use (counted with the prediction plans' compiles,
     :func:`repro.core.plan.compile_plan`) and kept in a bounded LRU."""
     from repro.core.plan import compile_plan
 
-    key = emulation_plan_key(cluster, program, perturbation, policy)
+    key = emulation_plan_key(cluster, program, perturbation)
     plan = _plan_cache.get(key)
     if plan is None:
         plan = compile_plan(
-            lambda: EmulationPlan(cluster, program, perturbation, policy),
-            telemetry,
+            lambda: EmulationPlan(cluster, program, perturbation), telemetry
         )
         _plan_cache.put(key, plan)
     return plan
@@ -206,20 +121,19 @@ def get_emulation_plan(cluster, program, perturbation,
 
 class EmulationPlan:
     """One compiled probe replayer for ``(cluster, program,
-    perturbation, policy)``; see the module docstring for the lowering.
+    perturbation)``; see the module docstring for the lowering.
 
     The constructor is cheap: skeleton discovery, schedule compilation
     and the engine self-check happen lazily on the first
     :meth:`probe_ends` call (they need a concrete candidate to drive).
     """
 
-    def __init__(self, cluster, program, perturbation,
-                 policy: FastForwardPolicy) -> None:
+    def __init__(self, cluster, program, perturbation) -> None:
         self.cluster = cluster
         self.program = program
         self.perturbation = perturbation
-        self.policy = policy
-        #: Why the plan retired itself, or ``None`` while it is live.
+        #: Why the plan retired itself (``"<kind>: <detail>"``), or
+        #: ``None`` while it is live.
         self.dead: Optional[str] = None
         self._lock = threading.RLock()
         self._compiled = False
@@ -238,8 +152,6 @@ class EmulationPlan:
         self._iter_slices: List[List[Tuple[int, int]]] = []
         self._shortcut_ok: List[bool] = []
         self._n_channels = 0
-        self._op_rank = self._op_kind = self._op_a = None
-        self._op_transfer = None
         # Diagnostics.
         self.executes = 0
         self.batch_executes = 0
@@ -249,10 +161,6 @@ class EmulationPlan:
         self.full_drives = 0
 
     # -- public API -----------------------------------------------------------
-
-    @property
-    def probe_iterations(self) -> int:
-        return self.policy.probe_iterations
 
     def probe_ends(self, distribution) -> Optional[List[List[float]]]:
         """Replay the probe for one candidate; ``[node][iteration]``
@@ -265,7 +173,7 @@ class EmulationPlan:
 
     def probe_ends_batch(self, distributions) -> Optional[np.ndarray]:
         """Replay the probe for a whole population in one pass; a
-        ``(B, P, probe_iterations)`` array of completion times, or
+        ``(B, P, PROBE_ITERATIONS)`` array of completion times, or
         ``None`` when the plan cannot serve the batch."""
         all_profs = []
         for dist in distributions:
@@ -291,7 +199,6 @@ class EmulationPlan:
             "full_drives": self.full_drives,
             "schedule_ops": len(self._sched),
             "channels": self._n_channels,
-            "numba_active": emulation_numba_active(),
         }
 
     # -- profiling ------------------------------------------------------------
@@ -336,7 +243,7 @@ class EmulationPlan:
         ops, durs = self._drive_rank(rank, distribution, shortcut=True)
         if list(ops) != self._rank_ops[rank][: len(ops)]:
             raise _PlanUnsupported(
-                f"rank {rank} skeleton changed across candidates"
+                f"skeleton: rank {rank} changed across candidates"
             )
         prof = self._finish_profile(rank, ops, durs)
         self._profiles.put(key, prof)
@@ -356,7 +263,7 @@ class EmulationPlan:
             out.extend(cycle)
         if len(out) != len(skeleton):
             raise _PlanUnsupported(
-                f"rank {rank} shortcut replication misaligned"
+                f"skeleton: rank {rank} shortcut replication misaligned"
             )
         return np.asarray(out, dtype=np.float64)
 
@@ -365,7 +272,7 @@ class EmulationPlan:
             from repro.sim.executor import ClusterEmulator
 
             self._emulator = ClusterEmulator(
-                self.cluster, self.program, self.perturbation, self.policy
+                self.cluster, self.program, self.perturbation
             )
         return self._emulator
 
@@ -398,7 +305,7 @@ class EmulationPlan:
         # The contexts argument of _node_process is unused by the body;
         # the generator only touches its own ctx and the distribution.
         gen = emulator._node_process(
-            ctx, None, distribution, self.probe_iterations, False
+            ctx, None, distribution, PROBE_ITERATIONS, False
         )
         ops: list = []
         durs: List[float] = []
@@ -408,7 +315,7 @@ class EmulationPlan:
         may_stop = (
             shortcut
             and self._shortcut_ok[rank]
-            and self.probe_iterations > _SHORTCUT_DRIVEN
+            and PROBE_ITERATIONS > _SHORTCUT_DRIVEN
         )
         try:
             req = next(gen)
@@ -441,7 +348,7 @@ class EmulationPlan:
                     req = gen.send(t)
                 else:
                     raise _PlanUnsupported(
-                        f"unsupported request {kind.__name__} from rank {rank}"
+                        f"request: unsupported {kind.__name__} from rank {rank}"
                     )
         except StopIteration:
             pass
@@ -450,10 +357,10 @@ class EmulationPlan:
             durs.append(seg)
             seg = 0.0
             ends_seen += 1
-        if ends_seen != self.probe_iterations:
+        if ends_seen != PROBE_ITERATIONS:
             raise _PlanUnsupported(
-                f"rank {rank} produced {ends_seen} iteration ends, "
-                f"expected {self.probe_iterations}"
+                f"skeleton: rank {rank} produced {ends_seen} iteration ends, "
+                f"expected {PROBE_ITERATIONS}"
             )
         self.full_drives += 1
         return ops, durs
@@ -529,7 +436,7 @@ class EmulationPlan:
     def _structurally_repeating(self, rank: int) -> bool:
         """Do iterations ``_SHORTCUT_DRIVEN-1 .. probe-1`` share one
         op structure, making duration replication well defined?"""
-        if self.probe_iterations <= _SHORTCUT_DRIVEN:
+        if PROBE_ITERATIONS <= _SHORTCUT_DRIVEN:
             return False
         ops = self._rank_ops[rank]
         slices = self._iter_slices[rank]
@@ -559,14 +466,14 @@ class EmulationPlan:
                 if op[0] == "S":
                     key = (op[1], op[2], op[3])  # (src, dst, tag)
                     if key in sends:
-                        raise _PlanUnsupported(f"channel {key} sent twice")
+                        raise _PlanUnsupported(f"schedule: channel {key} sent twice")
                     sends.add(key)
                     row.append((_SEND, chan_id(key), op[4]))
                 elif op[0] == "R":
                     key = (op[1], op[2], op[3])
                     if key in recvs:
                         raise _PlanUnsupported(
-                            f"channel {key} received twice"
+                            f"schedule: channel {key} received twice"
                         )
                     recvs.add(key)
                     row.append((_RECV, chan_id(key), 0.0))
@@ -574,7 +481,7 @@ class EmulationPlan:
                     row.append((_END, op[1], 0.0))
             lowered.append(row)
         if not recvs <= sends:
-            raise _PlanUnsupported("receive without a matching send")
+            raise _PlanUnsupported("schedule: receive without a matching send")
         self._n_channels = max(len(channels), 1)
 
         pos = [0] * P
@@ -595,18 +502,8 @@ class EmulationPlan:
                     pos[rank] += 1
                     progress = True
             if not progress:
-                raise _PlanUnsupported("schedule deadlocked")
+                raise _PlanUnsupported("schedule: deadlocked")
         self._sched = sched
-        self._op_rank = np.fromiter(
-            (s[0] for s in sched), np.int64, len(sched)
-        )
-        self._op_kind = np.fromiter(
-            (s[1] for s in sched), np.int64, len(sched)
-        )
-        self._op_a = np.fromiter((s[2] for s in sched), np.int64, len(sched))
-        self._op_transfer = np.fromiter(
-            (s[4] for s in sched), np.float64, len(sched)
-        )
         self._positions = [
             np.fromiter(
                 (i for i, s in enumerate(sched) if s[0] == rank),
@@ -622,16 +519,16 @@ class EmulationPlan:
         profs = [np.asarray(d, dtype=np.float64) for d in rank_durs]
         plan_ends = self._walk_scalar(profs)
         engine = emulator._simulate(
-            distribution, None, False, self.probe_iterations
+            distribution, None, False, PROBE_ITERATIONS
         )
         for plan_row, engine_row in zip(plan_ends, engine.iteration_ends):
             if len(plan_row) != len(engine_row):
-                raise _PlanUnsupported("self-check: iteration count differs")
+                raise _PlanUnsupported("self_check: iteration count differs")
             for a, b in zip(plan_row, engine_row):
                 scale = max(abs(a), abs(b), 1e-30)
                 if abs(a - b) / scale > _SELF_CHECK_RTOL:
                     raise _PlanUnsupported(
-                        f"self-check diverged: plan {a!r} vs engine {b!r}"
+                        f"self_check: plan {a!r} vs engine {b!r}"
                     )
 
     # -- walks ----------------------------------------------------------------
@@ -648,7 +545,7 @@ class EmulationPlan:
         clock = [0.0] * P
         deliver = [0.0] * self._n_channels
         ends: List[List[float]] = [
-            [0.0] * self.probe_iterations for _ in range(P)
+            [0.0] * PROBE_ITERATIONS for _ in range(P)
         ]
         for rank, kind, a, idx, transfer in self._sched:
             c = clock[rank] + durs[rank][idx]
@@ -675,16 +572,9 @@ class EmulationPlan:
             durs[:, self._positions[rank]] = np.stack(
                 [all_profs[b][rank] for b in range(B)]
             )
-        walk = _resolve_numba_walk()
-        if walk is not None:
-            return walk(
-                self._op_rank, self._op_kind, self._op_a,
-                self._op_transfer, durs, P, self._n_channels,
-                self.probe_iterations,
-            )
         clock = np.zeros((B, P))
         deliver = np.zeros((B, self._n_channels))
-        ends = np.zeros((B, P, self.probe_iterations))
+        ends = np.zeros((B, P, PROBE_ITERATIONS))
         for i, (rank, kind, a, _idx, transfer) in enumerate(self._sched):
             col = clock[:, rank]
             col += durs[:, i]

@@ -10,10 +10,12 @@ then pure repetition.
 
 The fast path exploits this in two steps:
 
-1. **Probe**: simulate only the first ``warmup + stable + 1``
-   iterations through the full event loop.
-2. **Detect + extrapolate**: if, past the warmup, the last ``stable``
-   iteration-end deltas of *every* node agree within a tight tolerance,
+1. **Probe**: replay only the first ``PROBE_ITERATIONS`` iterations —
+   in 1-D through the compiled
+   :class:`~repro.sim.plan_sim.EmulationPlan`, in 2-D through the event
+   engine.
+2. **Detect + extrapolate**: if, past the ``WARMUP``, the last
+   ``STABLE`` iteration-end deltas of *every* node agree within a tight tolerance,
    the remaining iterations are generated closed-form —
    ``end(i) = end(probe) + (i - probe) * delta`` — producing a
    :class:`~repro.sim.executor.RunResult` that matches full simulation
@@ -21,68 +23,50 @@ The fast path exploits this in two steps:
    it at <= 1e-9 relative).
 
 Eligibility is decided *structurally* first
-(:func:`supports_fast_forward`): any stochastic perturbation
+(:func:`fast_forwardable`): any stochastic perturbation
 (computation noise, background load), a non-uniform iteration profile,
 an attached observer (which must see every event) or an instrumented
 run disqualifies the fast path up front.  Convergence detection is the
 second, empirical gate: a workload that passes the structural check but
-whose deltas have not settled in the probe window silently falls back
-to full simulation.
+whose deltas have not settled in the probe window falls back to full
+simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 __all__ = [
-    "FastForwardPolicy",
-    "supports_fast_forward",
+    "PROBE_ITERATIONS",
+    "fast_forwardable",
     "steady_deltas",
     "extrapolate_ends",
 ]
 
 
-@dataclass(frozen=True)
-class FastForwardPolicy:
-    """Knobs of the cycle detector.
+#: Iteration-end deltas discarded before stability is judged: the
+#: pipeline-fill and page-cache-warm transient.  (Measured across every
+#: seed app x cluster combination the transient is at most one delta;
+#: two adds safety margin.)
+WARMUP = 2
 
-    Parameters
-    ----------
-    warmup:
-        Iteration-end deltas discarded before stability is judged: the
-        pipeline-fill and page-cache-warm transient.  (Measured across
-        every seed app x cluster combination the transient is at most
-        one delta; two adds safety margin.)
-    stable:
-        Number of consecutive trailing deltas, per node, that must
-        agree for the run to count as converged (the paper-scale RNA
-        pipeline needs more than one to rule out period-2 cycles).
-    rel_tol, abs_tol:
-        Tolerance for delta agreement.  Tight by design: the steady
-        schedule repeats *exactly* up to floating-point rounding, so a
-        loose tolerance would only mask genuine non-convergence.
-    """
+#: Consecutive trailing deltas, per node, that must agree for the run to
+#: count as converged (the paper-scale RNA pipeline needs more than one
+#: to rule out period-2 cycles).
+STABLE = 4
 
-    warmup: int = 2
-    stable: int = 4
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-15
+#: Tolerance for delta agreement.  Tight by design: the steady schedule
+#: repeats *exactly* up to floating-point rounding, so a loose tolerance
+#: would only mask genuine non-convergence.
+REL_TOL = 1e-12
+ABS_TOL = 1e-15
 
-    def __post_init__(self) -> None:
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.stable < 2:
-            raise ValueError(f"stable must be >= 2, got {self.stable}")
-
-    @property
-    def probe_iterations(self) -> int:
-        """Iterations the probe must simulate: warmup deltas to discard
-        plus ``stable`` deltas to judge (one delta needs two ends)."""
-        return self.warmup + self.stable + 1
+#: Iterations a probe simulates: ``WARMUP`` deltas to discard plus
+#: ``STABLE`` deltas to judge (one delta needs two ends).
+PROBE_ITERATIONS = WARMUP + STABLE + 1
 
 
-def supports_fast_forward(program, perturbation, *, observer=None,
+def fast_forwardable(program, perturbation, *, observer=None,
                           instrumented: bool = False,
                           dynamics=None) -> bool:
     """Structural eligibility: is this run iteration-invariant and
@@ -115,29 +99,29 @@ def supports_fast_forward(program, perturbation, *, observer=None,
 
 
 def steady_deltas(
-    iteration_ends: Sequence[Sequence[float]], policy: FastForwardPolicy
+    iteration_ends: Sequence[Sequence[float]],
 ) -> Optional[List[float]]:
     """Per-node steady iteration-end delta, or ``None`` if any node has
     not converged.
 
     ``iteration_ends`` is the probe's ``[node][iteration]`` completion
-    times.  A node converges when its last ``policy.stable`` deltas all
-    agree with the final one within ``rel_tol``/``abs_tol``; the final
-    delta is the extrapolation slope (it is the one the next full-sim
+    times.  A node converges when its last ``STABLE`` deltas all agree
+    with the final one within ``REL_TOL``/``ABS_TOL``; the final delta
+    is the extrapolation slope (it is the one the next full-sim
     iteration would reproduce).
     """
     deltas: List[float] = []
     for ends in iteration_ends:
-        if len(ends) < policy.probe_iterations:
+        if len(ends) < PROBE_ITERATIONS:
             return None
         tail = [
             ends[i] - ends[i - 1]
-            for i in range(len(ends) - policy.stable, len(ends))
+            for i in range(len(ends) - STABLE, len(ends))
         ]
         ref = tail[-1]
         if ref < 0.0:  # a simulation clock never runs backwards
             return None
-        tol = policy.rel_tol * abs(ref) + policy.abs_tol
+        tol = REL_TOL * abs(ref) + ABS_TOL
         if any(abs(d - ref) > tol for d in tail):
             return None
         deltas.append(ref)

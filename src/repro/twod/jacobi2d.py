@@ -35,10 +35,10 @@ from repro.sim.disk import DiskModel
 from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
 from repro.sim.steady import (
-    FastForwardPolicy,
+    PROBE_ITERATIONS,
     extrapolate_ends,
+    fast_forwardable,
     steady_deltas,
-    supports_fast_forward,
 )
 from repro.twod.distribution2d import GenBlock2D
 from repro.util.rng import stream
@@ -70,7 +70,7 @@ class Jacobi2DSpec:
 
     #: Every 2-D iteration sweeps the same tile — there is no per-
     #: iteration work profile.  A plain class attribute (not a field)
-    #: so :func:`repro.sim.steady.supports_fast_forward` applies its
+    #: so :func:`repro.sim.steady.fast_forwardable` applies its
     #: 1-D gating rules to the 2-D workload unchanged.
     iteration_profile = None
 
@@ -124,11 +124,10 @@ class TwoDEmulator:
         *,
         iterations: Optional[int] = None,
         io_mode: str = "auto",
-        fast_forward: Optional[bool] = None,
+        fast_forward: bool = True,
         observer: Optional["_TwoDCollector"] = None,
         telemetry: Optional[Recorder] = None,
         iteration_offset: int = 0,
-        policy: Optional[FastForwardPolicy] = None,
     ) -> float:
         """Total emulated seconds of ``n_iter`` 2-D Jacobi iterations.
 
@@ -137,12 +136,14 @@ class TwoDEmulator:
         kernel streams synchronously, so ``io_mode="prefetch"`` is
         rejected.
 
-        Fast-forward follows the 1-D emulator exactly: structurally
-        eligible runs (:func:`supports_fast_forward` — an observer or
-        attached cluster dynamics disqualify) simulate only the probe
-        window, and if every rank's iteration-end deltas have settled
-        the rest is extrapolated closed-form; anything else falls back
-        to the full event loop, bit for bit.
+        Fast-forward uses the 1-D emulator's gate and convergence rule,
+        but probes through the event engine (2-D has no compiled
+        emulation plan): structurally eligible runs
+        (:func:`fast_forwardable` — an observer or attached cluster
+        dynamics disqualify) simulate only the probe window, and if
+        every rank's iteration-end deltas have settled the rest is
+        extrapolated closed-form; anything else falls back to the full
+        event loop, bit for bit.
         """
         from repro.sim.executor import _resolve_io_mode
 
@@ -161,11 +162,6 @@ class TwoDEmulator:
                 f"iteration_offset must be >= 0, got {iteration_offset}"
             )
         n_iter = iterations if iterations is not None else self.spec.iterations
-        if fast_forward is None:
-            from repro.sim.executor import fast_forward_default
-
-            fast_forward = fast_forward_default()
-        policy = policy if policy is not None else FastForwardPolicy()
         timeline = None
         if self.dynamics is not None:
             timeline = self.dynamics.compile(
@@ -175,8 +171,8 @@ class TwoDEmulator:
         if (
             fast_forward
             and iteration_offset == 0
-            and n_iter > policy.probe_iterations
-            and supports_fast_forward(
+            and n_iter > PROBE_ITERATIONS
+            and fast_forwardable(
                 self.spec,
                 self.perturbation,
                 observer=observer,
@@ -187,10 +183,9 @@ class TwoDEmulator:
             ends: List[List[float]] = [[] for _ in range(dist.n_nodes)]
             with rec.span("sim/twod/run"):
                 self._engine_run(
-                    dist, policy.probe_iterations, instr,
-                    observer, ends,
+                    dist, PROBE_ITERATIONS, instr, observer, ends
                 )
-                deltas = steady_deltas(ends, policy)
+                deltas = steady_deltas(ends)
                 if deltas is not None:
                     seconds = max(
                         extrapolate_ends(ends[r], deltas[r], n_iter)[-1]

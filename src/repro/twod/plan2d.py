@@ -18,8 +18,7 @@ extracts via basis replay.  :class:`EvaluationPlan2D` lowers one
 ``A`` for a whole ``(B, P)`` candidate population in a handful of array
 operations, then walks ``M`` with the exact steady-state freezing and
 closed-form extrapolation of :mod:`repro.core.plan` — the same
-tolerances, the same numba-JIT walk when available (the pure-numpy
-:func:`_walk_dense` otherwise), the same pairwise tree-max fold over
+tolerances (:func:`_walk_dense`), the same pairwise tree-max fold over
 nodes.
 
 Unlike the 1-D plan there is no per-``(node, rows)`` row store: the 2-D
@@ -232,14 +231,7 @@ class EvaluationPlan2D:
                 if len(self._m_memo) >= 8:
                     self._m_memo.pop(next(iter(self._m_memo)))
                 self._m_memo[key] = M
-        walk = planmod._numba_walk
-        if walk is not None:
-            try:
-                totals = walk(np.ascontiguousarray(M), n_iter)
-            except Exception:
-                totals = _walk_dense(M, n_iter)
-        else:
-            totals = _walk_dense(M, n_iter)
+        totals = _walk_dense(M, n_iter)
         if not reduce:
             return totals
         P = self.P
@@ -267,11 +259,9 @@ class EvaluationPlan2D:
 
 
 def _walk_dense(M: np.ndarray, n_iter: int) -> np.ndarray:
-    """Pure-numpy steady-state walk over dense ``(B, P, P)`` iteration
-    matrices — the bit-identical twin of the 1-D plan's jitted walk
-    (:func:`repro.core.plan._resolve_numba_walk`): the same per-candidate
-    freezing tolerances, the same ``last + steady * k`` extrapolation,
-    the same final fallback."""
+    """Steady-state walk over dense ``(B, P, P)`` iteration matrices,
+    with the 1-D plan's per-candidate freezing tolerances, the same
+    ``last + steady * k`` extrapolation and the same final fallback."""
     B, P = M.shape[0], M.shape[1]
     clocks = np.zeros((B, P))
     totals = np.empty((B, P))

@@ -23,12 +23,6 @@ from typing import Any, Hashable, Iterator, Optional
 
 __all__ = ["LRUCache"]
 
-#: Internal miss marker: ``None`` is a legitimate cached *value* (a
-#: memoised "no plan needed", a stored null result), so lookups cannot
-#: use it to detect absence.
-_MISS = object()
-
-
 class _NullLock:
     """No-op context manager standing in for the lock when the cache is
     single-threaded (the default) — stateless, shared, re-entrant."""
@@ -87,32 +81,6 @@ class LRUCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
-
-    def get_many(self, keys) -> list:
-        """Batched :meth:`get`: one value (or ``None``) per key, with a
-        single method call's overhead for hot loops.
-
-        A *stored* ``None`` is a hit, exactly as in :meth:`get`: absence
-        is detected with an internal sentinel, never by comparing the
-        value against ``None``, so recency and the hit/miss counters
-        stay correct for null-valued entries.
-        """
-        with self._lock:
-            data = self._data
-            move = data.move_to_end
-            out = []
-            hits = 0
-            for key in keys:
-                value = data.get(key, _MISS)
-                if value is _MISS:
-                    out.append(None)
-                else:
-                    move(key)
-                    hits += 1
-                    out.append(value)
-            self.hits += hits
-            self.misses += len(out) - hits
-            return out
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry if full."""

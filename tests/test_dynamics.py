@@ -6,7 +6,7 @@ The golden guarantees this file pins down:
 * ``dynamics=None`` and an attached-but-empty spec are *bitwise*
   identical to the historical static emulator output, and keep the
   steady-state fast path eligible;
-* any truthy spec refuses fast-forward (``supports_fast_forward`` says
+* any truthy spec refuses fast-forward (``fast_forwardable`` says
   no, and the result is never extrapolated);
 * dynamic runs are deterministic — repeated scalar runs and the batched
   ``emulate_many`` agree bitwise;
@@ -40,7 +40,7 @@ from repro.distribution import balanced, block
 from repro.sim import PerturbationConfig
 from repro.sim.executor import ClusterEmulator, emulate, emulate_many
 from repro.sim.perturbation import PerturbationModel
-from repro.sim.steady import supports_fast_forward
+from repro.sim.steady import fast_forwardable
 from repro.runtime import AdaptiveRuntime
 
 SCALE = 0.02
@@ -157,10 +157,10 @@ class TestFastForwardRefusal:
     def test_supports_fast_forward_gate(self):
         program = _program()
         quiet = PerturbationConfig.none()
-        assert supports_fast_forward(program, quiet)
-        assert supports_fast_forward(program, quiet, dynamics=None)
-        assert supports_fast_forward(program, quiet, dynamics=DynamicsSpec())
-        assert not supports_fast_forward(
+        assert fast_forwardable(program, quiet)
+        assert fast_forwardable(program, quiet, dynamics=None)
+        assert fast_forwardable(program, quiet, dynamics=DynamicsSpec())
+        assert not fast_forwardable(
             program, quiet, dynamics=_drift_spec()
         )
 

@@ -30,7 +30,7 @@ from repro.parallel.cache import RunCache
 from repro.sim import PerturbationConfig, emulate, emulate_many
 
 SCALE = 0.05
-ITERATIONS = 16  # > probe window (default policy simulates 7)
+ITERATIONS = 16  # > probe window (PROBE_ITERATIONS == 7)
 APPS = {
     "jacobi": JacobiApp,
     "cg": ConjugateGradientApp,
@@ -167,7 +167,7 @@ class TestBatchFallbacks:
         cluster, program = self._cluster_program()
         dists = _population(cluster, program, n=2)
         monkeypatch.setattr(
-            executor_mod, "steady_deltas", lambda ends, policy: None
+            executor_mod, "steady_deltas", lambda ends: None
         )
         batch = emulate_many(
             cluster, program, dists,
@@ -185,26 +185,31 @@ class TestBatchFallbacks:
 
     def test_dead_plan_serves_batches_through_the_engine(self):
         cluster, program = self._cluster_program()
-        plan = plan_sim.get_emulation_plan(
-            cluster, program, DETERMINISTIC, None
-        )
-        assert plan is not None
+        # One plan per configuration: this is the plan emulate_many and
+        # ClusterEmulator.run look up.
+        plan = plan_sim.get_emulation_plan(cluster, program, DETERMINISTIC)
         original = plan.dead
         try:
-            plan.dead = "forced dead for test"
+            plan.dead = "test: forced dead"
             dists = _population(cluster, program, n=2)
+            rec = Recorder()
             batch = emulate_many(
                 cluster, program, dists,
-                perturbation=DETERMINISTIC, run_cache=False,
+                perturbation=DETERMINISTIC, run_cache=False, telemetry=rec,
             )
-            loop = [
+            full = [
                 emulate(
-                    cluster, program, d,
-                    perturbation=DETERMINISTIC, run_cache=False,
+                    cluster, program, d, perturbation=DETERMINISTIC,
+                    fast_forward=False, run_cache=False,
                 )
                 for d in dists
             ]
-            _assert_bitwise(batch, loop)
+            _assert_bitwise(batch, full)
+            counters = rec.counters
+            assert counters["sim/plan_fallbacks"] == len(dists)
+            assert counters["sim/plan_fallbacks/dead/test"] == len(dists)
+            assert counters["sim/batch/fallbacks"] == len(dists)
+            assert "sim/plan_runs" not in counters
         finally:
             plan.dead = original
 

@@ -23,21 +23,20 @@ from repro.apps import (
 )
 from repro.cluster import table1_configs
 from repro.distribution import block
+from repro.obs import Recorder
 from repro.parallel.cache import RunCache
 from repro.sim import (
+    PROBE_ITERATIONS,
     ClusterEmulator,
-    FastForwardPolicy,
     PerturbationConfig,
     emulate,
-    fast_forward_default,
-    set_fast_forward_default,
-    supports_fast_forward,
+    fast_forwardable,
 )
-from repro.sim.steady import extrapolate_ends, steady_deltas
+from repro.sim.steady import WARMUP, extrapolate_ends, steady_deltas
 from repro.sim.trace import TraceCollector
 
 SCALE = 0.05
-ITERATIONS = 16  # > probe window (default policy simulates 7)
+ITERATIONS = 16  # > probe window (PROBE_ITERATIONS == 7)
 APPS = {
     "jacobi": JacobiApp,
     "cg": ConjugateGradientApp,
@@ -59,11 +58,11 @@ def _rel_close(a, b, tol=1e-9):
     return float(np.max(np.abs(a - b) / scale)) <= tol
 
 
-def _run_pair(cluster, program, perturbation=DETERMINISTIC):
+def _run_pair(cluster, program, perturbation=DETERMINISTIC, telemetry=None):
     emulator = ClusterEmulator(cluster, program, perturbation)
     d = block(cluster, program.n_rows)
     full = emulator.run(d, fast_forward=False)
-    fast = emulator.run(d, fast_forward=True)
+    fast = emulator.run(d, fast_forward=True, telemetry=telemetry)
     return full, fast
 
 
@@ -81,10 +80,14 @@ class TestGoldenEquivalence:
             if io_mode == "prefetch"
             else application.structure
         ).with_iterations(ITERATIONS)
-        full, fast = _run_pair(cluster, program)
+        rec = Recorder()
+        full, fast = _run_pair(cluster, program, telemetry=rec)
 
         assert not full.fast_forwarded
         assert fast.fast_forwarded, "fast path should engage on this grid"
+        # The compiled EmulationPlan is the only 1-D fast-forward.
+        assert rec.counters["sim/plan_runs"] == 1
+        assert "sim/plan_fallbacks" not in rec.counters
         assert _rel_close(full.total_seconds, fast.total_seconds)
         assert _rel_close(full.per_node_seconds, fast.per_node_seconds)
         assert len(fast.iteration_ends) == len(full.iteration_ends)
@@ -120,7 +123,7 @@ class TestFallbacks:
     def test_background_load_bypasses(self):
         cluster, program = self._cluster_program()
         pert = DETERMINISTIC.without(background_load=0.2)
-        assert not supports_fast_forward(program, pert)
+        assert not fast_forwardable(program, pert)
         _, fast = _run_pair(cluster, program, pert)
         assert not fast.fast_forwarded
 
@@ -135,7 +138,7 @@ class TestFallbacks:
 
     def test_instrumented_bypasses(self):
         cluster, program = self._cluster_program()
-        assert not supports_fast_forward(
+        assert not fast_forwardable(
             program, DETERMINISTIC, instrumented=True
         )
 
@@ -150,79 +153,76 @@ class TestFallbacks:
     def test_short_run_bypasses(self):
         cluster, program = self._cluster_program()
         emulator = ClusterEmulator(cluster, program, DETERMINISTIC)
-        policy = emulator.fast_forward_policy
         short = emulator.run(
-            block(cluster, program.n_rows),
-            iterations=policy.probe_iterations,
+            block(cluster, program.n_rows), iterations=PROBE_ITERATIONS
         )
         assert not short.fast_forwarded
 
     def test_non_converging_probe_falls_back(self, monkeypatch):
         cluster, program = self._cluster_program()
         monkeypatch.setattr(
-            executor_mod, "steady_deltas", lambda ends, policy: None
+            executor_mod, "steady_deltas", lambda ends: None
         )
-        full, fast = _run_pair(cluster, program)
+        rec = Recorder()
+        full, fast = _run_pair(cluster, program, telemetry=rec)
         assert not fast.fast_forwarded
         assert fast.iteration_ends == full.iteration_ends
+        assert rec.counters["sim/plan_fallbacks"] == 1
+        assert rec.counters["sim/plan_fallbacks/not_converged"] == 1
+
+    def test_forced_io_mode_runs_the_engine(self):
+        # Plans are compiled for the program's own streaming style; a
+        # forced other style is a counted fallback to the full engine.
+        cluster, program = self._cluster_program()
+        emulator = ClusterEmulator(cluster, program, DETERMINISTIC)
+        d = block(cluster, program.n_rows)
+        rec = Recorder()
+        fast = emulator.run(d, io_mode="prefetch", telemetry=rec)
+        full = emulator.run(d, io_mode="prefetch", fast_forward=False)
+        assert not fast.fast_forwarded
+        assert fast.iteration_ends == full.iteration_ends
+        assert rec.counters["sim/plan_fallbacks/io_mode"] == 1
 
     def test_explicit_flag_and_process_default(self):
         cluster, program = self._cluster_program()
         emulator = ClusterEmulator(cluster, program, DETERMINISTIC)
         d = block(cluster, program.n_rows)
         assert not emulator.run(d, fast_forward=False).fast_forwarded
-        previous = set_fast_forward_default(False)
-        try:
-            assert not fast_forward_default()
-            assert not emulator.run(d).fast_forwarded
-            # An explicit True overrides the process default.
-            assert emulator.run(d, fast_forward=True).fast_forwarded
-        finally:
-            set_fast_forward_default(previous)
+        # Fast-forward is on by default; there is no process-wide switch.
+        assert emulator.run(d).fast_forwarded
+        assert emulator.run(d, fast_forward=True).fast_forwarded
 
 
 class TestSteadyDetection:
     """Unit-level checks of the cycle detector itself."""
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            FastForwardPolicy(warmup=-1)
-        with pytest.raises(ValueError):
-            FastForwardPolicy(stable=1)
-        assert FastForwardPolicy(warmup=2, stable=4).probe_iterations == 7
-
     def test_constant_deltas_detected(self):
-        policy = FastForwardPolicy(warmup=1, stable=3)
-        ends = [[1.0 * (i + 1) for i in range(policy.probe_iterations)]]
-        assert steady_deltas(ends, policy) == [1.0]
+        ends = [[1.0 * (i + 1) for i in range(PROBE_ITERATIONS)]]
+        assert steady_deltas(ends) == [1.0]
 
     def test_warmup_transient_is_forgiven(self):
-        policy = FastForwardPolicy(warmup=2, stable=3)
-        # Two slow warm-up iterations, then exact steady state.
+        # Slow warm-up iterations, then exact steady state.
         ends, t = [], 0.0
-        for i in range(policy.probe_iterations):
-            t += 5.0 if i < 2 else 2.0
+        for i in range(PROBE_ITERATIONS):
+            t += 5.0 if i < WARMUP else 2.0
             ends.append(t)
-        assert steady_deltas([ends], policy) == [2.0]
+        assert steady_deltas([ends]) == [2.0]
 
     def test_unstable_tail_rejected(self):
-        policy = FastForwardPolicy(warmup=1, stable=3)
         ends, t = [], 0.0
-        for i in range(policy.probe_iterations):
+        for i in range(PROBE_ITERATIONS):
             t += 1.0 + 0.01 * i  # keeps drifting
             ends.append(t)
-        assert steady_deltas([ends], policy) is None
+        assert steady_deltas([ends]) is None
 
     def test_one_unstable_node_rejects_all(self):
-        policy = FastForwardPolicy(warmup=1, stable=3)
-        n = policy.probe_iterations
+        n = PROBE_ITERATIONS
         stable = [1.0 * (i + 1) for i in range(n)]
         drifting = [sum(1.0 + 0.01 * j for j in range(i + 1)) for i in range(n)]
-        assert steady_deltas([stable, drifting], policy) is None
+        assert steady_deltas([stable, drifting]) is None
 
     def test_short_probe_rejected(self):
-        policy = FastForwardPolicy(warmup=2, stable=4)
-        assert steady_deltas([[1.0, 2.0, 3.0]], policy) is None
+        assert steady_deltas([[1.0, 2.0, 3.0]]) is None
 
     def test_zero_delta_node_extrapolates_flat(self):
         # A node with no work per iteration keeps a flat clock.

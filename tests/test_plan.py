@@ -6,7 +6,7 @@ short sequence of vectorized ops.  These tests pin the behaviours around
 the kernel itself (the golden numerical contract lives in
 ``test_kernel_equivalence.py`` / ``test_batch_equivalence.py``): one
 plan per model, freed with it, compile telemetry, the gather memo, store
-resets, pickling, and the numba opt-in gate.
+resets and pickling.
 """
 
 from __future__ import annotations
@@ -224,36 +224,4 @@ def test_compile_span_and_counters_recorded():
 
 def test_plan_cache_stats_keys():
     stats = plan_cache_stats()
-    for key in ("compiles", "compile_seconds", "numba_active"):
-        assert key in stats
-    assert stats["numba_active"] in (True, False)
-
-
-# -- numba gate ---------------------------------------------------------------
-
-
-def test_numba_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_NUMBA", "0")
-    planmod._reset_numba_for_tests()
-    try:
-        assert planmod._resolve_numba_walk() is None
-        assert not planmod.numba_active()
-        # The pure-numpy path still serves predictions.
-        model, cands = _setup()
-        assert model.predict(cands[0]) > 0
-    finally:
-        planmod._reset_numba_for_tests()
-
-
-def test_numba_absent_falls_back_cleanly(monkeypatch):
-    """Whatever the environment, resolution never raises and the plan
-    path works; when numba is missing the walk resolves to None."""
-    planmod._reset_numba_for_tests()
-    try:
-        walk = planmod._resolve_numba_walk()
-        assert walk is None or callable(walk)
-        model, cands = _setup()
-        out = model.predict(cands, batch=True)
-        assert (out > 0).all()
-    finally:
-        planmod._reset_numba_for_tests()
+    assert set(stats) == {"compiles", "compile_seconds"}

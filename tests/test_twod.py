@@ -397,22 +397,19 @@ class TestTwoDFastForward:
         assert "sim/twod/fast_forwards" not in rec2.counters
 
     def test_respects_global_default(self):
+        # Fast-forward is on by default; only fast_forward=False opts
+        # out (there is no process-wide switch).
         from repro.cluster import table1_configs
         from repro.obs import Recorder
-        from repro.sim import set_fast_forward_default
 
         cluster = table1_configs()["HY1"]
         spec = self._spec()
         deterministic = PerturbationConfig().without(compute_noise=False)
         dist = block2d(spec.n_rows, spec.n_cols, (2, 4))
         emulator = TwoDEmulator(cluster, spec, deterministic)
-        set_fast_forward_default(False)
-        try:
-            rec = Recorder()
-            emulator.run(dist, telemetry=rec)
-            assert "sim/twod/fast_forwards" not in rec.counters
-        finally:
-            set_fast_forward_default(True)
+        rec = Recorder()
+        emulator.run(dist, fast_forward=False, telemetry=rec)
+        assert "sim/twod/fast_forwards" not in rec.counters
         rec2 = Recorder()
         emulator.run(dist, telemetry=rec2)
         assert rec2.counters["sim/twod/fast_forwards"] == 1

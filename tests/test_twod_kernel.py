@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import baseline_cluster, config_dc
-from repro.core import plan as planmod
 from repro.core.model import KERNELS
 from repro.core.plan import plan_cache_stats, reset_plan_cache
 from repro.distribution import largest_remainder_round
@@ -340,33 +339,3 @@ def test_batch_telemetry_and_plan_gauges():
     assert rec.gauges["model/plan_cache/compiles"] >= 1
     flat = str(rec.snapshot())
     assert "plan/compile" in flat
-
-
-# -- numba gate ---------------------------------------------------------------
-
-
-def test_numba_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_NUMBA", "0")
-    planmod._reset_numba_for_tests()
-    try:
-        assert planmod._resolve_numba_walk() is None
-        _, plan = _models()
-        d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
-        assert plan.predict(d) > 0
-    finally:
-        planmod._reset_numba_for_tests()
-
-
-def test_numba_walk_matches_dense_fallback():
-    """Whatever the environment, the plan kernel's answer must equal the
-    pure-numpy walk's (when numba is present they share results; when
-    absent this is trivially the same code path)."""
-    planmod._reset_numba_for_tests()
-    try:
-        scalar, plan = _models()
-        dists = _dists(plan, rng_seed=7, per_shape=2)
-        out = plan.predict(dists, batch=True)
-        want = np.array([scalar.predict(d) for d in dists])
-        np.testing.assert_allclose(out, want, rtol=REL_TOL)
-    finally:
-        planmod._reset_numba_for_tests()

@@ -150,50 +150,21 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert "b" not in cache
 
-    def test_get_many_matches_serial_gets(self):
-        from repro.util import LRUCache
-
-        cache = LRUCache(8)
-        cache.put("a", 1)
-        cache.put("c", 3)
-        assert cache.get_many(["a", "b", "c"]) == [1, None, 3]
-        assert cache.hits == 2
-        assert cache.misses == 1
-        # "a" and "c" were refreshed, so an insert evicts the untouched key.
-        small = LRUCache(2)
-        small.put("x", 1)
-        small.put("y", 2)
-        small.get_many(["x"])
-        small.put("z", 3)
-        assert "x" in small and "y" not in small
-
     def test_maxsize_must_be_positive(self):
         from repro.util import LRUCache
 
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_stored_none_is_a_hit_in_get_many(self):
-        # Regression: get_many used to detect misses by comparing the
-        # value against None, so a stored None never refreshed recency
-        # and was miscounted as a miss.
+    def test_stored_none_is_a_hit(self):
+        # ``None`` is a legitimate cached value: get() on a stored None
+        # counts a hit, never a miss.
         from repro.util import LRUCache
 
         cache = LRUCache(4)
         cache.put("a", None)
-        assert cache.get_many(["a"]) == [None]
-        assert (cache.hits, cache.misses) == (1, 0)
-        # Recency was refreshed, exactly like get(): the None-valued
-        # entry survives eviction pressure aimed at older keys.
-        small = LRUCache(2)
-        small.put("x", None)
-        small.put("y", 2)
-        small.get_many(["x"])
-        small.put("z", 3)
-        assert "x" in small and "y" not in small
-        # get() and get_many() agree on stored None.
         assert cache.get("a") is None
-        assert (cache.hits, cache.misses) == (2, 0)
+        assert (cache.hits, cache.misses) == (1, 0)
 
     def test_threadsafe_mode_survives_concurrent_hammering(self):
         import threading
@@ -209,7 +180,8 @@ class TestLRUCache:
                     key = (seed * 31 + i) % 100
                     cache.put(key, key)
                     cache.get(key)
-                    cache.get_many([key, (key + 1) % 100])
+                    cache.get((key + 1) % 100)
+                    cache.get((key + 2) % 100)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -223,6 +195,6 @@ class TestLRUCache:
         assert not errors
         stats = cache.stats
         assert stats["size"] <= 64
-        # 4 workers x 500 iterations x 3 lookups (one get + two in
-        # get_many) all land in the counters, none lost to races.
+        # 4 workers x 500 iterations x 3 gets all land in the
+        # counters, none lost to races.
         assert stats["hits"] + stats["misses"] == 4 * 500 * 3
