@@ -10,6 +10,10 @@ stochastic noise off, every iteration-invariant ground-truth effect on):
   steady-state cycle fast-forward, interleaved so host noise hits both
   equally, over spectrum candidate distributions;
 * the same comparison for the prefetching variant;
+* the noisy regime the paper's figures run in (the default
+  ``PerturbationConfig``, computation noise on): the compiled plan's
+  full walk vs full simulation, sync and prefetch, which must agree
+  *bitwise*;
 * cached ``emulate()`` hit throughput (the content-keyed run cache);
 * the raw engine dispatch loop (ping-pong and delay-only microbench) —
   the hot-loop rewrite's per-event overhead.
@@ -36,6 +40,7 @@ import numpy as np
 from repro.apps import JacobiApp
 from repro.cluster import config_hy1
 from repro.distribution import spectrum
+from repro.obs import Recorder
 from repro.parallel.cache import RunCache
 from repro.sim import ClusterEmulator, PerturbationConfig, emulate, emulate_many
 from repro.sim.engine import Delay, Engine, Recv, Send
@@ -59,6 +64,10 @@ REQUIRED_BATCH_SPEEDUP = 3.0
 
 #: Fast-forward must reproduce full simulation to this relative bound.
 EQUIVALENCE_RTOL = 1e-9
+
+#: Acceptance floor: the plan's full walk of a noisy run must beat full
+#: event-by-event simulation of the same run by at least this factor.
+REQUIRED_NOISY_SPEEDUP = 4.0
 
 #: Fig9-style deterministic ground truth: only the stochastic
 #: computation noise is off; cache effects, OS read cache, sparse
@@ -156,6 +165,38 @@ def _plan_runs(cluster, program, candidates, mode, reps=5):
     }
 
 
+def _noisy_walk_runs(cluster, program, candidates, reps=3):
+    """Interleave full simulation and the plan's full walk of the same
+    noisy runs (the first pass lowers each candidate's rank tapes, later
+    passes reuse them), checking bitwise equality on the fly."""
+    noisy = PerturbationConfig()
+    emulator = ClusterEmulator(cluster, program, noisy)
+    emulator.run(candidates[0])  # compile + self-check the plan once
+    rec = Recorder()
+    spent = {"full": 0.0, "walk": 0.0}
+    runs = 0
+    for _ in range(reps):
+        for d in candidates:
+            t0 = time.perf_counter()
+            full = emulator.run(d, fast_forward=False)
+            spent["full"] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            walked = emulator.run(d, telemetry=rec)
+            spent["walk"] += time.perf_counter() - t0
+            assert walked.iteration_ends == full.iteration_ends
+            assert walked.total_seconds == full.total_seconds
+            runs += 1
+    assert rec.counters["sim/plan_walks"] == runs
+    return {
+        "runs": runs,
+        "iterations_per_run": program.iterations,
+        "full_ms_per_run": spent["full"] / runs * 1e3,
+        "walk_ms_per_run": spent["walk"] / runs * 1e3,
+        "speedup": spent["full"] / spent["walk"],
+        "bitwise": True,
+    }
+
+
 def _cached_emulate_throughput(cluster, program, candidates, reps=20):
     """Hit-path throughput of the content-keyed run cache."""
     cache = RunCache()
@@ -235,6 +276,8 @@ def test_emulator_fast_path_speed(benchmark, save_result):
     prefetch_rows = _interleaved_runs(cluster, program_pf, candidates_pf)
     plan_sync = _plan_runs(cluster, program, candidates, "sync")
     plan_prefetch = _plan_runs(cluster, program_pf, candidates_pf, "prefetch")
+    noisy_sync = _noisy_walk_runs(cluster, program, candidates)
+    noisy_prefetch = _noisy_walk_runs(cluster, program_pf, candidates_pf)
     cached = _cached_emulate_throughput(cluster, program, candidates)
     engine = _engine_microbench()
 
@@ -249,6 +292,8 @@ def test_emulator_fast_path_speed(benchmark, save_result):
         "prefetch": prefetch_rows,
         "plan_sync": plan_sync,
         "plan_prefetch": plan_prefetch,
+        "plan_noisy_sync": noisy_sync,
+        "plan_noisy_prefetch": noisy_prefetch,
         "cached_emulate": cached,
         "engine_microbench": engine,
         "speedup": {
@@ -260,8 +305,11 @@ def test_emulator_fast_path_speed(benchmark, save_result):
             "batched_vs_pr4_prefetch": plan_prefetch[
                 "batched_speedup_vs_pr4"
             ],
+            "noisy_walk_vs_full_sync": noisy_sync["speedup"],
+            "noisy_walk_vs_full_prefetch": noisy_prefetch["speedup"],
             "required": REQUIRED_SPEEDUP,
             "required_batched_vs_pr4": REQUIRED_BATCH_SPEEDUP,
+            "required_noisy": REQUIRED_NOISY_SPEEDUP,
         },
         "equivalence": {
             "max_rel_diff": max(
@@ -297,6 +345,12 @@ def test_emulator_fast_path_speed(benchmark, save_result):
             f"{rows['batched_ms_per_candidate']:.3f} ms/candidate "
             f"({rows['batched_speedup_vs_pr4']:.1f}x)"
         )
+    for label, rows in (("sync", noisy_sync), ("prefetch", noisy_prefetch)):
+        lines.append(
+            f"  noisy {label:8s} full {rows['full_ms_per_run']:7.1f} ms/run -> "
+            f"plan walk {rows['walk_ms_per_run']:6.1f} ms/run "
+            f"({rows['speedup']:.1f}x, bitwise)"
+        )
     lines.append(
         f"  run-cache hit: {cached['hit_ms']:.3f} ms "
         f"({cached['hits_per_second']:,.0f} hits/s)"
@@ -308,7 +362,8 @@ def test_emulator_fast_path_speed(benchmark, save_result):
     )
     lines.append(
         f"  gate: fast-forward >= {REQUIRED_SPEEDUP:.0f}x required; "
-        f"equivalence <= {EQUIVALENCE_RTOL:.0e} relative"
+        f"equivalence <= {EQUIVALENCE_RTOL:.0e} relative; noisy walk >= "
+        f"{REQUIRED_NOISY_SPEEDUP:.0f}x and bitwise"
     )
     save_result("emulator_speed", "\n".join(lines))
 
@@ -325,6 +380,11 @@ def test_emulator_fast_path_speed(benchmark, save_result):
             f"{label} batched emulation {rows['batched_speedup_vs_pr4']:.2f}x "
             f"below required {REQUIRED_BATCH_SPEEDUP}x vs the frozen PR-4 "
             "fast-forward figure"
+        )
+    for label, rows in (("sync", noisy_sync), ("prefetch", noisy_prefetch)):
+        assert rows["speedup"] >= REQUIRED_NOISY_SPEEDUP, (
+            f"{label} noisy plan walk {rows['speedup']:.2f}x below "
+            f"required {REQUIRED_NOISY_SPEEDUP}x"
         )
 
 

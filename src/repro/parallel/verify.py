@@ -7,8 +7,8 @@ the CLI's ``search --verify``).
 
 Since the plan-compiled emulator, one verification round is one
 *batched* :func:`~repro.sim.executor.emulate_many` pass: the whole
-population shares a single compiled :class:`EmulationPlan` and walks
-its coupled recurrence as one ``(B, P)`` array sweep.  ``jobs > 1``
+population shares a single compiled :class:`EmulationPlan` and its
+memoised rank tapes.  ``jobs > 1``
 serves what it can from the caller's run cache and shards the rest
 round-robin, one batched pass per worker; the workers hand their runs
 back, so they land in the caller's cache exactly as serial runs do.

@@ -209,6 +209,36 @@ class _NodeCtx:
         yield from self.cpu(seconds)
         self.observe(Op.COMPUTE, it, section, tile, stage, None, start)
 
+    def compute_share(self, total, rows, tile_rows, it, section, tile, stage):
+        """Compute one block: ``rows`` of a ``tile_rows``-row tile whose
+        whole stage compute costs ``total`` seconds."""
+        yield from self.compute(
+            total * rows / tile_rows, it, section, tile, stage
+        )
+
+    def stage_seconds(self, nominal, working_set_bytes):
+        """Perturbed compute seconds of one stage execution; draws the
+        rank's noise stream once."""
+        return self.perturb.perturb_compute(
+            self.spec, nominal, working_set_bytes
+        )
+
+    def issue_read(self, var, nbytes):
+        """Queue an asynchronous (prefetch) read; returns its DiskOp."""
+        return self.disk.submit_read(self.now, var, nbytes)
+
+    def wait_read(self, op):
+        """Block until the asynchronous read ``op`` has landed."""
+        if op.done > self.now:
+            yield from self.cpu(op.done - self.now)
+
+    def end_iteration(self, it):
+        """Record the end of iteration ``it`` (a generator so that a
+        recording context can mark the boundary in its stream)."""
+        self.iteration_ends.append(self.now)
+        self.observe(Op.ITERATION_END, it, "", 0, None, None, self.now)
+        yield from ()
+
     def send_msg(self, dst, tag, nbytes, it, section, disk_source=None):
         # Materialise the message from disk when it lives in an
         # out-of-core array on this node (paper Section 4.2.2).
@@ -287,14 +317,18 @@ class ClusterEmulator:
         ``iterations`` overrides the program's iteration count (the
         instrumented run uses 1).
 
-        ``fast_forward`` controls the steady-state cycle fast path
-        (:mod:`repro.sim.steady`); ``False`` forces full event-by-event
-        simulation (the reference).  An eligible run — unobserved,
-        deterministic, iteration-invariant, *stationary* — ends in
-        exactly one of two ways: its probe is replayed by the compiled
-        :class:`~repro.sim.plan_sim.EmulationPlan` and extrapolated, or
-        it runs the full engine, counted under ``sim/plan_fallbacks``
-        with its cause (``io_mode``, ``not_converged`` or
+        ``fast_forward`` controls the compiled
+        :class:`~repro.sim.plan_sim.EmulationPlan`; ``False`` forces
+        full event-by-event simulation (the reference).  An eligible
+        run — from iteration 0, unobserved, not instrumented, static
+        (:meth:`_plan_eligible`) — ends in exactly one of three ways:
+        a deterministic run whose probe settles is extrapolated from
+        the plan's probe (:mod:`repro.sim.steady`, ``sim/plan_runs``);
+        any other run, noisy ones included, is walked in full by the
+        plan, bitwise equal to the engine and not ``fast_forwarded``
+        (``sim/plan_walks``); or it runs the full engine, counted
+        under ``sim/plan_fallbacks`` with its cause
+        (``background_load``, ``iteration_profile``, ``io_mode`` or
         ``dead/<kind>``).  Ineligible runs (including any active
         cluster dynamics) always run the full engine.
 
@@ -343,9 +377,7 @@ class ClusterEmulator:
             sim_observer = chain_observers(phase, observer)
 
         result = None
-        if self._fast_forward_eligible(
-            fast_forward, n_iter, instr, iteration_offset, observer
-        ):
+        if self._plan_eligible(fast_forward, instr, iteration_offset, observer):
             result = self._plan_run(distribution, n_iter, io_override, telemetry)
         if result is None:
             result = self._simulate(
@@ -357,36 +389,47 @@ class ClusterEmulator:
             self._record_run_telemetry(telemetry, phase, result)
         return result
 
-    def _fast_forward_eligible(
+    def _plan_eligible(
         self,
         fast_forward: bool,
-        n_iter: int,
         instrumented: bool,
         iteration_offset: int,
         observer: Optional[Observer] = None,
     ) -> bool:
-        """The fast-forward eligibility gate shared by :meth:`run` and
-        :func:`emulate_many`: asked for, from iteration 0, longer than
-        the probe, and structurally steady (:func:`fast_forwardable`)."""
+        """The one gate in front of the compiled plan, shared by
+        :meth:`run` and :func:`emulate_many`: asked for, from iteration
+        0, unobserved, not instrumented and static."""
         return (
             fast_forward
             and iteration_offset == 0
-            and n_iter > PROBE_ITERATIONS
-            and fast_forwardable(
-                self.program,
-                self.perturbation,
-                observer=observer,
-                instrumented=instrumented,
-                dynamics=self.dynamics,
-            )
+            and observer is None
+            and not instrumented
+            and self.dynamics is None
         )
 
-    def _plan_for(self, io_override: Optional[bool], telemetry=None):
-        """This configuration's :class:`EmulationPlan`, or ``None`` when
-        a forced ``io_mode`` differs from the program's own streaming
-        style (the only style plans are compiled for)."""
+    def _extrapolatable(self, n_iter: int) -> bool:
+        """May a plan-eligible run be probed and extrapolated rather
+        than walked in full?  Longer than the probe and structurally
+        steady (:func:`fast_forwardable`: deterministic, uniform)."""
+        return n_iter > PROBE_ITERATIONS and fast_forwardable(
+            self.program, self.perturbation
+        )
+
+    def _engine_cause(self, io_override: Optional[bool]) -> Optional[str]:
+        """Why a plan-eligible run must still take the engine — a
+        counted fallback — or ``None``.  The plan lowers neither the
+        background-load process nor iteration profiles, and is compiled
+        for the program's own streaming style only."""
+        if self.perturbation.background_load > 0.0:
+            return "background_load"
+        if self.program.iteration_profile is not None:
+            return "iteration_profile"
         if io_override is not None and io_override != bool(self.program.prefetch):
-            return None
+            return "io_mode"
+        return None
+
+    def _plan_for(self, telemetry=None):
+        """This configuration's :class:`EmulationPlan`."""
         if self._emulation_plan is None:
             from repro.sim.plan_sim import get_emulation_plan
 
@@ -452,44 +495,53 @@ class ClusterEmulator:
         io_override: Optional[bool],
         telemetry=None,
     ) -> Optional[RunResult]:
-        """Fast-forward an eligible run via the compiled
-        :class:`EmulationPlan`, or ``None`` when the plan cannot serve
-        it and the full engine must — a miss counted under
-        ``sim/plan_fallbacks`` and ``sim/plan_fallbacks/<cause>``."""
-        plan = self._plan_for(io_override, telemetry)
-        if plan is None:
-            cause = "io_mode"
-        else:
-            probe_ends = plan.probe_ends(distribution)
-            if probe_ends is None:
-                # A retired plan's reason reads "<kind>: <detail>".
-                cause = "dead/" + plan.dead.split(":", 1)[0]
-            else:
-                deltas = steady_deltas(probe_ends)
+        """Serve a plan-eligible run from the compiled
+        :class:`EmulationPlan`, or ``None`` when the full engine must —
+        a miss counted under ``sim/plan_fallbacks`` and
+        ``sim/plan_fallbacks/<cause>``.
+
+        A deterministic run with a converged probe is extrapolated
+        (``sim/plan_runs``); every other run is walked in full,
+        bitwise equal to the engine (``sim/plan_walks``).
+        """
+        cause = self._engine_cause(io_override)
+        if cause is None:
+            plan = self._plan_for(telemetry)
+            if self._extrapolatable(n_iter):
+                probe_ends = plan.walk_ends(distribution, PROBE_ITERATIONS)
+                deltas = None if probe_ends is None else steady_deltas(probe_ends)
                 if deltas is not None:
                     if telemetry:
                         telemetry.count("sim/plan_runs")
-                    return self._extrapolated_result(
-                        distribution, probe_ends, deltas, n_iter
+                    return self._plan_result(
+                        distribution,
+                        [
+                            extrapolate_ends(ends, delta, n_iter)
+                            for ends, delta in zip(probe_ends, deltas)
+                        ],
+                        n_iter,
+                        fast_forwarded=True,
                     )
-                cause = "not_converged"
+            ends = plan.walk_ends(distribution, n_iter)
+            if ends is not None:
+                if telemetry:
+                    telemetry.count("sim/plan_walks")
+                return self._plan_result(distribution, ends, n_iter)
+            # A retired plan's reason reads "<kind>: <detail>".
+            cause = "dead/" + plan.dead.split(":", 1)[0]
         if telemetry:
             telemetry.count("sim/plan_fallbacks")
             telemetry.count("sim/plan_fallbacks/" + cause)
         return None
 
-    def _extrapolated_result(
-        self,
+    @staticmethod
+    def _plan_result(
         distribution: GenBlock,
-        probe_ends: List[List[float]],
-        deltas: List[float],
+        iteration_ends: List[List[float]],
         n_iter: int,
+        fast_forwarded: bool = False,
     ) -> RunResult:
-        """Closed-form result from converged probe iteration ends."""
-        iteration_ends = [
-            extrapolate_ends(ends, delta, n_iter)
-            for ends, delta in zip(probe_ends, deltas)
-        ]
+        """A plan-served run: walked, or extrapolated from its probe."""
         per_node = [ends[-1] if ends else 0.0 for ends in iteration_ends]
         return RunResult(
             total_seconds=max(per_node) if per_node else 0.0,
@@ -497,7 +549,7 @@ class ClusterEmulator:
             iteration_ends=iteration_ends,
             distribution=distribution,
             iterations=n_iter,
-            fast_forwarded=True,
+            fast_forwarded=fast_forwarded,
         )
 
     # -- setup -------------------------------------------------------------------
@@ -509,14 +561,17 @@ class ClusterEmulator:
         counts_label: str,
         observer: Optional[Observer],
         instrumented: bool,
+        context: type = _NodeCtx,
     ) -> _NodeCtx:
         """Execution state for one node given its row count.
 
-        Everything here depends only on ``(rank, rows)`` (the
-        ``counts_label`` only seeds RNG streams, which deterministic
-        runs never draw) — the compiled emulation plans
-        (:mod:`repro.sim.plan_sim`) rely on this to profile single
-        ranks standalone.
+        Everything here but the perturbation model depends only on
+        ``(rank, rows)`` — the compiled emulation plans
+        (:mod:`repro.sim.plan_sim`) rely on this to lower single ranks
+        standalone (as a ``context`` subclass that records instead of
+        waiting).  ``counts_label`` — the whole distribution — seeds
+        the rank's RNG streams (:meth:`_perturbation_model`), so noise
+        is a per-run draw the plans take separately.
         """
         program = self.program
         spec = self.cluster.nodes[rank]
@@ -540,25 +595,31 @@ class ClusterEmulator:
         for name, placement in plan.placements.items():
             if not placement.in_core:
                 disk.register_variable(name, placement.ocla_bytes)
-        perturb = PerturbationModel(
-            self.perturbation,
-            run_labels=(
-                self.cluster.name,
-                program.name,
-                counts_label,
-                rank,
-                "instr" if instrumented else "run",
-            ),
-        )
-        return _NodeCtx(
+        return context(
             rank,
             spec,
             self.cluster.network,
             disk,
             plan,
             observer,
-            perturb,
+            self._perturbation_model(rank, counts_label, instrumented),
             program.replicated_bytes,
+        )
+
+    def _perturbation_model(
+        self, rank: int, counts_label: str, instrumented: bool
+    ) -> PerturbationModel:
+        """Rank ``rank``'s sampler; its streams are seeded per rank and
+        per distribution, so each rank draws in its own program order."""
+        return PerturbationModel(
+            self.perturbation,
+            run_labels=(
+                self.cluster.name,
+                self.program.name,
+                counts_label,
+                rank,
+                "instr" if instrumented else "run",
+            ),
         )
 
     def _make_contexts(
@@ -592,10 +653,7 @@ class ClusterEmulator:
                     ctx, distribution, it, si, section, instrumented,
                     io_override,
                 )
-            ctx.iteration_ends.append(ctx.now)
-            ctx.observe(
-                Op.ITERATION_END, it, "", 0, None, None, ctx.now
-            )
+            yield from ctx.end_iteration(it)
 
     def _run_section(
         self, ctx, distribution, it, si, section, instrumented,
@@ -610,7 +668,7 @@ class ClusterEmulator:
             for tile in range(section.tiles):
                 if rank > 0:
                     yield from ctx.recv_msg(
-                        rank - 1, f"{it}:{si}:pipe:{tile}", it, section.name
+                        rank - 1, (it, si, "pipe", tile), it, section.name
                     )
                 yield from self._run_stages(
                     ctx, distribution, it, si, section, tile, instrumented,
@@ -619,7 +677,7 @@ class ClusterEmulator:
                 if rank < P - 1:
                     yield from ctx.send_msg(
                         rank + 1,
-                        f"{it}:{si}:pipe:{tile}",
+                        (it, si, "pipe", tile),
                         nbytes,
                         it,
                         section.name,
@@ -665,10 +723,10 @@ class ClusterEmulator:
         neighbors = [r for r in (rank - 1, rank + 1) if 0 <= r < P]
         for nb in neighbors:
             yield from ctx.send_msg(
-                nb, f"{it}:{si}:nn", nbytes, it, section.name, disk_source
+                nb, (it, si, "nn"), nbytes, it, section.name, disk_source
             )
         for nb in neighbors:
-            yield from ctx.recv_msg(nb, f"{it}:{si}:nn", it, section.name)
+            yield from ctx.recv_msg(nb, (it, si, "nn"), it, section.name)
 
     def _reduce_bcast(self, ctx, it, si, section):
         """Binomial-tree reduce to node 0, binomial broadcast back."""
@@ -679,13 +737,13 @@ class ClusterEmulator:
         while mask < P:
             if rank & mask:
                 yield from ctx.send_msg(
-                    rank - mask, f"{it}:{si}:red:{mask}", nbytes, it, section.name
+                    rank - mask, (it, si, "red", mask), nbytes, it, section.name
                 )
                 break
             partner = rank | mask
             if partner < P:
                 yield from ctx.recv_msg(
-                    partner, f"{it}:{si}:red:{mask}", it, section.name
+                    partner, (it, si, "red", mask), it, section.name
                 )
             mask <<= 1
         pot = 1
@@ -696,11 +754,11 @@ class ClusterEmulator:
             if rank % (2 * mask) == 0:
                 if rank + mask < P:
                     yield from ctx.send_msg(
-                        rank + mask, f"{it}:{si}:bc:{mask}", nbytes, it, section.name
+                        rank + mask, (it, si, "bc", mask), nbytes, it, section.name
                     )
             elif rank % (2 * mask) == mask:
                 yield from ctx.recv_msg(
-                    rank - mask, f"{it}:{si}:bc:{mask}", it, section.name
+                    rank - mask, (it, si, "bc", mask), it, section.name
                 )
             mask >>= 1
         ctx.observe(
@@ -716,9 +774,9 @@ class ClusterEmulator:
         left = (rank - 1) % P
         for step in range(P - 1):
             yield from ctx.send_msg(
-                right, f"{it}:{si}:ag:{step}", nbytes, it, section.name
+                right, (it, si, "ag", step), nbytes, it, section.name
             )
-            yield from ctx.recv_msg(left, f"{it}:{si}:ag:{step}", it, section.name)
+            yield from ctx.recv_msg(left, (it, si, "ag", step), it, section.name)
         ctx.observe(
             Op.COLLECTIVE, it, section.name, 0, None, None, start, nbytes
         )
@@ -746,7 +804,7 @@ class ClusterEmulator:
             work *= program.iteration_multiplier(it)
         nominal = ctx.spec.compute_seconds(work)
         ws = self._working_set_bytes(ctx, stage)
-        seconds = ctx.perturb.perturb_compute(ctx.spec, nominal, ws)
+        seconds = ctx.stage_seconds(nominal, ws)
         if ctx.dyn_compute != 1.0:
             seconds *= ctx.dyn_compute
         return seconds
@@ -870,13 +928,14 @@ class ClusterEmulator:
         """
         row_bytes = self.program.variable(name).row_bytes
         blocks = self._blocks(ctx, name, tile_rows)
-        shares = [total_compute * b / tile_rows for b in blocks]
 
         if not use_prefetch or len(blocks) == 1:
-            for rows, share in zip(blocks, shares):
+            for rows in blocks:
                 nbytes = rows * row_bytes
                 yield from ctx.sync_read(name, nbytes, it, section, tile, stage, rows)
-                yield from ctx.compute(share, it, section, tile, stage)
+                yield from ctx.compute_share(
+                    total_compute, rows, tile_rows, it, section, tile, stage
+                )
                 if write_back:
                     yield from ctx.sync_write(
                         name, nbytes, it, section, tile, stage, rows
@@ -891,16 +950,18 @@ class ClusterEmulator:
             nbytes = blocks[i] * row_bytes
             issue_start = ctx.now
             yield from ctx.cpu(PREFETCH_ISSUE_OVERHEAD)
-            pending = ctx.disk.submit_read(ctx.now, name, nbytes)
+            pending = ctx.issue_read(name, nbytes)
             ctx.observe(
                 Op.PREFETCH_ISSUE, it, section, tile, stage, name,
                 issue_start, nbytes, blocks[i],
             )
             # Overlapping computation on the previous block.
-            yield from ctx.compute(shares[i - 1], it, section, tile, stage)
+            yield from ctx.compute_share(
+                total_compute, blocks[i - 1], tile_rows, it, section, tile,
+                stage,
+            )
             wait_start = ctx.now
-            if pending.done > ctx.now:
-                yield from ctx.cpu(pending.done - ctx.now)
+            yield from ctx.wait_read(pending)
             ctx.observe(
                 Op.PREFETCH_WAIT, it, section, tile, stage, name,
                 wait_start, nbytes, blocks[i],
@@ -910,7 +971,9 @@ class ClusterEmulator:
                 yield from ctx.sync_write(
                     name, prev_bytes, it, section, tile, stage, blocks[i - 1]
                 )
-        yield from ctx.compute(shares[-1], it, section, tile, stage)
+        yield from ctx.compute_share(
+            total_compute, blocks[-1], tile_rows, it, section, tile, stage
+        )
         if write_back:
             last_bytes = blocks[-1] * row_bytes
             yield from ctx.sync_write(
@@ -1083,17 +1146,15 @@ def emulate_many(
     """Emulate a whole population of candidates in one batched pass.
 
     The results are bit-identical to looping :func:`emulate` over
-    ``distributions`` (pinned by the golden batch suite): candidates
-    that the compiled :class:`~repro.sim.plan_sim.EmulationPlan` can
-    serve share one vectorised ``(B, P)`` probe walk, every other
-    candidate falls back to its own :meth:`ClusterEmulator.run` —
-    identical gating, convergence checks and extrapolation, only
-    amortised differently.
+    ``distributions`` (pinned by the golden batch suite): the pass
+    resolves one emulator (and so one compiled
+    :class:`~repro.sim.plan_sim.EmulationPlan`, whose rank tapes the
+    candidates share) and serves each distinct candidate through
+    :meth:`ClusterEmulator.run` — identical gating, walks,
+    convergence checks and extrapolation.
 
     Keywords mirror :func:`emulate` (``io_mode``, ``dynamics``,
-    ``iteration_offset``); dynamic-cluster batches take the
-    per-candidate fallback path since the compiled plan assumes a
-    stationary iteration.  The run cache is consulted up front
+    ``iteration_offset``).  The run cache is consulted up front
     (duplicates inside the batch are deduplicated too) and all fresh
     results land back in one
     :meth:`~repro.parallel.cache.RunCache.put_many`.  ``run_cache``
@@ -1103,9 +1164,12 @@ def emulate_many(
 
     Telemetry: one ``sim/batch/passes`` count per call — the
     coalesced-round invariant the serve verify path asserts — plus
-    candidate/hit/fallback counters under ``sim/batch/``.
+    candidate and cache-hit counters under ``sim/batch/``, with
+    ``plan_runs`` counting the candidates extrapolated from a probe
+    and ``fallbacks`` every other emulated one (walked or engine; see
+    the per-run ``sim/plan_*`` counters).
     """
-    instr, io_override = _resolve_io_mode(io_mode)
+    _resolve_io_mode(io_mode)  # reject a bad mode even on an all-hit batch
     dyn = _resolve_dynamics(cluster, dynamics)
     distributions = list(distributions)
     emulator = ClusterEmulator(
@@ -1153,41 +1217,18 @@ def emulate_many(
         first_index[counts] = i
         pending.append(i)
 
-    plan_served = 0
-    fallbacks = 0
+    extrapolated = 0
     if pending:
-        batch_ends = None
-        if emulator._fast_forward_eligible(
-            fast_forward, n_iter, instr, iteration_offset
-        ):
-            plan = emulator._plan_for(io_override, telemetry)
-            if plan is not None:
-                batch_ends = plan.probe_ends_batch(
-                    [distributions[i] for i in pending]
-                )
-        for b, i in enumerate(pending):
-            dist = distributions[i]
-            result = None
-            if batch_ends is not None:
-                probe_ends = batch_ends[b].tolist()
-                deltas = steady_deltas(probe_ends)
-                if deltas is not None:
-                    result = emulator._extrapolated_result(
-                        dist, probe_ends, deltas, n_iter
-                    )
-                    plan_served += 1
-            if result is None:
-                result = emulator.run(
-                    dist,
-                    iterations=n_iter,
-                    io_mode=io_mode,
-                    fast_forward=fast_forward,
-                    telemetry=telemetry,
-                    iteration_offset=iteration_offset,
-                )
-                fallbacks += 1
-            results[i] = result
-
+        for i in pending:
+            results[i] = emulator.run(
+                distributions[i],
+                iterations=n_iter,
+                io_mode=io_mode,
+                fast_forward=fast_forward,
+                telemetry=telemetry,
+                iteration_offset=iteration_offset,
+            )
+            extrapolated += results[i].fast_forwarded
         if store is not None:
             store.put_many(
                 (keys[i], results[i]) for i in pending if keys[i] is not None
@@ -1202,8 +1243,8 @@ def emulate_many(
         telemetry.count("sim/batch/passes")
         telemetry.count("sim/batch/candidates", len(distributions))
         telemetry.count("sim/batch/cache_hits", cache_hits)
-        telemetry.count("sim/batch/plan_runs", plan_served)
-        telemetry.count("sim/batch/fallbacks", fallbacks)
+        telemetry.count("sim/batch/plan_runs", extrapolated)
+        telemetry.count("sim/batch/fallbacks", len(pending) - extrapolated)
         if store is not None:
             telemetry.count("sim/run_cache/hits", cache_hits)
             telemetry.count("sim/run_cache/misses", len(pending))

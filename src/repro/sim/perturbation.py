@@ -123,6 +123,17 @@ class PerturbationModel:
         sigma = self.config.noise_sigma
         return float(np.exp(self._rng.normal(0.0, sigma)))
 
+    def noise_factors(self, n: int) -> np.ndarray:
+        """The next ``n`` :meth:`noise_factor` values in one draw.
+
+        Bitwise equal to ``n`` successive calls: numpy fills a sized
+        normal draw from the stream in call order, and ``np.exp`` rounds
+        each element like the scalar call (pinned by a tier-1 test).
+        """
+        if not self.config.compute_noise:
+            return np.ones(n)
+        return np.exp(self._rng.normal(0.0, self.config.noise_sigma, size=n))
+
     def background_factor(self) -> float:
         """Slowdown from competing jobs on a non-dedicated node.
 
@@ -143,10 +154,16 @@ class PerturbationModel:
         self, node: NodeSpec, nominal_seconds: float, working_set_bytes: float
     ) -> float:
         """Apply cache factor, jitter and background load to a nominal
-        compute duration."""
+        compute duration, in that multiplication order."""
         return (
-            nominal_seconds
-            * self.compute_factor(node, working_set_bytes)
+            self.noise_free_compute(node, nominal_seconds, working_set_bytes)
             * self.noise_factor()
             * self.background_factor()
         )
+
+    def noise_free_compute(
+        self, node: NodeSpec, nominal_seconds: float, working_set_bytes: float
+    ) -> float:
+        """The deterministic leading factor of :meth:`perturb_compute`:
+        nominal seconds times the memory-hierarchy factor."""
+        return nominal_seconds * self.compute_factor(node, working_set_bytes)

@@ -1,56 +1,57 @@
-"""Compiled emulation plans: specialize the emulator per configuration.
+"""Compiled emulation plans: lower the emulator per configuration.
 
 The event-engine emulator re-interprets the program structure — section
-loops, tile bounds, disk block streaming, message tags — on every run,
-even though for a fixed ``(cluster, program, perturbation)`` the
-*shape* of the computation never changes and only the per-segment
-durations depend on the candidate distribution.  An
-:class:`EmulationPlan` performs that interpretation once and lowers the
-fast-forward probe into three reusable artifacts:
+loops, tile bounds, disk block streaming, message tags — through a stack
+of generators and an event heap on every run, even though for a fixed
+``(cluster, program, perturbation)`` a rank's operations depend only on
+its own rows.  An :class:`EmulationPlan` lowers each rank once and
+replays it:
 
-1. **Skeleton** — every rank's per-iteration sequence of communication
-   operations (sends, receives, iteration ends).  Each message's
-   endpoints, tag and in-flight transfer time depend only on the program
-   structure and the cluster size, never on row counts (zero-row nodes
-   still run every exchange and ``message_bytes`` is a section
-   constant), so one skeleton serves every GEN_BLOCK candidate.
-2. **Schedule** — a flat, dependency-ordered instruction list over the
-   skeleton (computed by an advance-until-blocked sweep), so replaying a
-   probe needs no event heap: a send deposits into its channel slot, a
-   receive takes a ``max`` with it, and per-node clocks march forward.
-3. **Duration profiles** — the local time between consecutive
-   communication ops of one rank, obtained by driving the *actual*
-   executor node generator standalone (no engine) and accumulating its
-   ``Delay`` requests.  Every delay the generator yields is independent
-   of absolute time (disk ``free_at`` never exceeds the node clock at a
-   yield point), so the standalone drive reproduces the engine's
-   durations bit for bit.  Profiles are memoised per ``(rank, rows)`` —
-   or per ``(rank, start, stop)`` when sparse row weights make absolute
-   positions matter — so candidate populations share them.
+1. **Tapes** — a rank's op sequence with every op's time-free inputs:
+   CPU delay, disk service time, noise-free compute share, prefetch
+   issue/wait, message channel.  It is recorded by driving the
+   executor's own node generator standalone on a :class:`_TapeCtx`
+   (one description of the node program), memoised per ``(rank,
+   rows)`` — or per ``(rank, start, stop)`` when sparse row weights
+   make absolute positions matter — and lowered only until two
+   consecutive iterations are identical and no disk stream is still
+   warming; the last iteration then repeats.
+2. **Noise** — each rank's :class:`~repro.sim.perturbation.
+   PerturbationModel` is seeded per rank and per distribution, so a
+   rank draws its stage noise in its own program order and the whole
+   run's noise is one draw per rank
+   (:meth:`~repro.sim.perturbation.PerturbationModel.noise_factors`),
+   never memoised.
+3. **The walk** replays every op on absolute per-rank clocks with the
+   engine's own float arithmetic, one add at a time: a disk op queues
+   with ``start = max(now, free_at)``, ``free_at = start + dur`` and
+   advances ``now + (free_at - now)``; a compute share is
+   ``((base * noise) * rows) / tile_rows`` (``perturb_compute``'s
+   order); a receive takes ``max(now, deliver)``, deliveries keyed by
+   (channel, iteration) since ranks run iterations apart.  The walk is
+   therefore bitwise equal to the engine, not merely close.
 
-Replaying the probe is then a vectorised recurrence over ``(B, P)``
-clock arrays (scalar for a single candidate, numpy for a batch),
-followed by the ordinary :func:`repro.sim.steady.steady_deltas`
-convergence check and closed-form extrapolation in the executor.  This
-is the 1-D emulator's only fast path: a run the plan cannot serve runs
-the full event engine.
+A deterministic run longer than the probe walks only its first
+``PROBE_ITERATIONS`` iterations; the executor extrapolates the rest
+when the deltas settle (:mod:`repro.sim.steady`).  Every other run the
+plan serves — noisy runs, runs no longer than the probe, probes that
+did not settle — is walked in full.  This is the 1-D emulator's only
+fast path: a run the plan cannot serve runs the full event engine.
 
-Safety: plans engage only for runs :func:`fast_forwardable`
-admits, the first compiled candidate is self-checked against a real
-event-engine probe to <= 1e-9, and any broken assumption (skeleton
-mismatch, unmatched message, deadlocked schedule) permanently retires
-the plan so the engine takes over.
+Safety: plans engage only for runs the executor's gate admits; the
+first walked candidate of each plan is checked bitwise against an
+engine run of its first ``min(n_iter, 2)`` iterations, and any broken
+assumption (unsupported request, deadlocked walk, failed self-check)
+permanently retires the plan so the engine takes over.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
-import numpy as np
-
-from repro.sim.engine import Delay, Recv, Send
-from repro.sim.steady import PROBE_ITERATIONS
+from repro.sim.engine import Recv, Send
+from repro.sim.executor import ClusterEmulator, _NodeCtx
 from repro.util.lru import LRUCache
 
 __all__ = [
@@ -59,26 +60,24 @@ __all__ = [
     "get_emulation_plan",
 ]
 
-#: Instruction kinds of the compiled schedule.
-_SEND, _RECV, _END = 0, 1, 2
-
-#: Memoised duration profiles kept per plan (one per (rank, rows) seen).
-PROFILE_CACHE_ENTRIES = 8192
+#: Memoised rank tapes kept per plan (one per (rank, rows) seen).
+TAPE_CACHE_ENTRIES = 512
 
 #: Bound of the process-wide emulation-plan LRU.  Plans are small; the
 #: bound exists so unattended services cycling through many (app,
 #: cluster) pairs stay flat.
 PLAN_CACHE_ENTRIES = 32
 
-#: Iterations a profile drive must simulate before the stationarity
-#: shortcut may replicate the rest of the probe (one cold pass plus two
-#: comparable warm iterations).
-_SHORTCUT_DRIVEN = 3
+#: Op codes of a rank tape (see :class:`_TapeCtx`).
+(_T_CPU, _T_DISK, _T_ISSUE, _T_WAIT, _T_NOISE, _T_COMPUTE, _T_SHARE,
+ _T_SEND, _T_RECV) = range(9)
 
-#: Self-check tolerance: the compiled walk must reproduce a real engine
-#: probe of the first candidate to this relative accuracy, or the plan
-#: retires itself.
-_SELF_CHECK_RTOL = 1e-9
+#: Op codes whose ops do not depend on the rank's rows (overheads,
+#: markers, message channels): tapes share one object per distinct op.
+_ROW_FREE = frozenset((_T_CPU, _T_WAIT, _T_NOISE, _T_SEND, _T_RECV))
+
+#: What a :class:`_TapeCtx` yields at the end of each iteration.
+_ITERATION_END = object()
 
 
 class _PlanUnsupported(Exception):
@@ -116,17 +115,141 @@ def get_emulation_plan(cluster, program, perturbation,
     return plan
 
 
+# -- rank tapes ---------------------------------------------------------------
+
+
+class _TapeCtx(_NodeCtx):
+    """A node context that records instead of waiting.
+
+    The executor's node program runs unchanged on it; each
+    time-touching primitive appends its time-free inputs to ``tape``
+    (disk service times come from the node's own
+    :class:`~repro.sim.disk.DiskModel`, advanced in program order) and
+    yields nothing, so the generator only yields its ``Send``/``Recv``
+    requests and one :data:`_ITERATION_END` per iteration.  Stage
+    compute is recorded noise-free, after a ``_T_NOISE`` marker where
+    the engine would draw.
+    """
+
+    __slots__ = ("tape",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.tape: list = []
+
+    def cpu(self, seconds):
+        if seconds > 0.0:
+            self.tape.append((_T_CPU, seconds))
+        yield from ()
+
+    def sync_read(self, var, nbytes, it, section, tile, stage, rows=0):
+        self.tape.append((_T_DISK, self.disk.read_service(var, nbytes)[0]))
+        yield from ()
+
+    def sync_write(self, var, nbytes, it, section, tile, stage, rows=0):
+        self.tape.append((_T_DISK, self.disk.write_service(nbytes)))
+        yield from ()
+
+    def issue_read(self, var, nbytes):
+        self.tape.append((_T_ISSUE, self.disk.read_service(var, nbytes)[0]))
+
+    def wait_read(self, op):
+        self.tape.append((_T_WAIT,))
+        yield from ()
+
+    def stage_seconds(self, nominal, working_set_bytes):
+        self.tape.append((_T_NOISE,))
+        return self.perturb.noise_free_compute(
+            self.spec, nominal, working_set_bytes
+        )
+
+    def compute(self, seconds, it, section, tile, stage):
+        self.tape.append((_T_COMPUTE, seconds))
+        yield from ()
+
+    def compute_share(self, total, rows, tile_rows, it, section, tile, stage):
+        self.tape.append((_T_SHARE, total, rows, tile_rows))
+        yield from ()
+
+    def end_iteration(self, it):
+        yield _ITERATION_END
+
+
+class _Tape(NamedTuple):
+    """One rank's lowered run: per-iteration op tuples and the number
+    of noise draws in each.  With ``repeats`` the last iteration
+    stands for every later one; otherwise only ``len(iterations)``
+    iterations are covered."""
+
+    iterations: List[tuple]
+    draws: List[int]
+    repeats: bool
+
+    def covers(self, n_iter: int) -> bool:
+        return self.repeats or len(self.iterations) >= n_iter
+
+    def total_draws(self, n_iter: int) -> int:
+        draws = self.draws
+        if n_iter <= len(draws):
+            return sum(draws[:n_iter])
+        return sum(draws) + (n_iter - len(draws)) * draws[-1]
+
+
+def _walk_rank(tape: _Tape, noise: List[float], n_iter: int,
+               deliver: dict, ends: List[float]):
+    """Replay one rank's tape on its absolute clock, appending each
+    iteration's end to ``ends``.  A generator: it yields the
+    ``(channel, iteration)`` key of a message not yet in ``deliver``
+    and expects to be resumed once it is.  Every step repeats the
+    engine's float operations in the engine's order (see the module
+    docstring), so the clocks are bitwise the engine's."""
+    iterations = tape.iterations
+    last = len(iterations) - 1
+    now = free = pending = 0.0
+    factor = 1.0
+    k = 0
+    for it in range(n_iter):
+        for op in iterations[it if it < last else last]:
+            code = op[0]
+            if code == _T_SHARE:
+                now = now + op[1] * factor * op[2] / op[3]
+            elif code == _T_DISK:
+                start = free if free > now else now
+                free = start + op[1]
+                now = now + (free - now)
+            elif code == _T_CPU:
+                now = now + op[1]
+            elif code == _T_NOISE:
+                factor = noise[k]
+                k += 1
+            elif code == _T_ISSUE:
+                start = free if free > now else now
+                free = start + op[1]
+                pending = free
+            elif code == _T_WAIT:
+                if pending > now:
+                    now = now + (pending - now)
+            elif code == _T_SEND:
+                deliver[(op[1], it)] = now + op[2]
+            elif code == _T_RECV:
+                key = (op[1], it)
+                if key not in deliver:
+                    yield key
+                arrived = deliver.pop(key)
+                if arrived > now:
+                    now = arrived
+            else:  # _T_COMPUTE
+                now = now + op[1] * factor
+        ends.append(now)
+
+
 # -- the plan -----------------------------------------------------------------
 
 
 class EmulationPlan:
-    """One compiled probe replayer for ``(cluster, program,
-    perturbation)``; see the module docstring for the lowering.
-
-    The constructor is cheap: skeleton discovery, schedule compilation
-    and the engine self-check happen lazily on the first
-    :meth:`probe_ends` call (they need a concrete candidate to drive).
-    """
+    """One compiled replayer for ``(cluster, program, perturbation)``;
+    see the module docstring for the lowering.  The constructor is
+    cheap: tapes are lowered on demand, per rank and row range."""
 
     def __init__(self, cluster, program, perturbation) -> None:
         self.cluster = cluster
@@ -136,452 +259,172 @@ class EmulationPlan:
         #: ``None`` while it is live.
         self.dead: Optional[str] = None
         self._lock = threading.RLock()
-        self._compiled = False
-        self._emulator = None
-        #: (rank, rows[,start,stop]) -> np.ndarray of segment durations.
-        self._profiles = LRUCache(PROFILE_CACHE_ENTRIES, threadsafe=True)
+        self._emulator = ClusterEmulator(
+            cluster, program, perturbation, dynamics=False
+        )
+        #: (rank, rows[, start, stop]) -> the rank's :class:`_Tape`.
+        self._tapes = LRUCache(TAPE_CACHE_ENTRIES, threadsafe=True)
+        #: One shared object per distinct row-free op (most of a tape).
+        self._shared_ops: dict = {}
+        self._checked = False
         # Absolute row positions only matter when the ground truth
         # weighs rows non-uniformly.
         self._position_dependent = bool(
             perturbation.sparse_weights and program.row_weights is not None
         )
-        # Compiled artifacts (filled by _compile).
-        self._rank_ops: List[List[tuple]] = []
-        self._sched: List[Tuple[int, int, int, int, float]] = []
-        self._positions: List[np.ndarray] = []
-        self._iter_slices: List[List[Tuple[int, int]]] = []
-        self._shortcut_ok: List[bool] = []
-        self._n_channels = 0
         # Diagnostics.
-        self.executes = 0
-        self.batch_executes = 0
-        self.profile_hits = 0
-        self.profile_misses = 0
-        self.shortcut_drives = 0
-        self.full_drives = 0
+        self.walks = 0
+        self.tape_hits = 0
+        self.tape_drives = 0
 
-    # -- public API -----------------------------------------------------------
-
-    def probe_ends(self, distribution) -> Optional[List[List[float]]]:
-        """Replay the probe for one candidate; ``[node][iteration]``
-        completion times, or ``None`` when the plan cannot serve it."""
-        profs = self._prepare(distribution)
-        if profs is None:
+    def walk_ends(self, distribution,
+                  n_iter: int) -> Optional[List[List[float]]]:
+        """Walk the first ``n_iter`` iterations of one candidate's run;
+        ``[node][iteration]`` completion times bitwise equal to the
+        event engine's, or ``None`` when the plan cannot serve it."""
+        if self.dead is not None:
             return None
-        self.executes += 1
-        return self._walk_scalar(profs)
-
-    def probe_ends_batch(self, distributions) -> Optional[np.ndarray]:
-        """Replay the probe for a whole population in one pass; a
-        ``(B, P, PROBE_ITERATIONS)`` array of completion times, or
-        ``None`` when the plan cannot serve the batch."""
-        all_profs = []
-        for dist in distributions:
-            profs = self._prepare(dist)
-            if profs is None:
-                return None
-            all_profs.append(profs)
-        if not all_profs:
+        try:
+            tapes = [
+                self._rank_tape(rank, distribution, n_iter)
+                for rank in range(self.cluster.n_nodes)
+            ]
+            ends = self._walk(distribution, tapes, n_iter)
+            if not self._checked and n_iter > 0:
+                self._self_check(distribution, ends, n_iter)
+        except _PlanUnsupported as exc:
+            self.dead = str(exc)
             return None
-        self.batch_executes += 1
-        return self._walk_batch(all_profs)
+        self.walks += 1
+        return ends
 
     @property
     def stats(self) -> dict:
         return {
             "dead": self.dead or "",
-            "executes": self.executes,
-            "batch_executes": self.batch_executes,
-            "profiles": len(self._profiles),
-            "profile_hits": self.profile_hits,
-            "profile_misses": self.profile_misses,
-            "shortcut_drives": self.shortcut_drives,
-            "full_drives": self.full_drives,
-            "schedule_ops": len(self._sched),
-            "channels": self._n_channels,
+            "walks": self.walks,
+            "tapes": len(self._tapes),
+            "tape_hits": self.tape_hits,
+            "tape_drives": self.tape_drives,
         }
 
-    # -- profiling ------------------------------------------------------------
+    # -- lowering -------------------------------------------------------------
 
-    def _prepare(self, distribution) -> Optional[List[np.ndarray]]:
-        """Compile on first use, then gather the candidate's per-rank
-        duration profiles (memoised).  ``None`` retires or skips."""
-        if self.dead is not None:
-            return None
-        if not self._compiled:
-            with self._lock:
-                if not self._compiled and self.dead is None:
-                    try:
-                        self._compile(distribution)
-                    except _PlanUnsupported as exc:
-                        self.dead = str(exc)
-                    self._compiled = True
-        if self.dead is not None:
-            return None
-        try:
-            return [
-                self._rank_profile(rank, distribution)
-                for rank in range(self.cluster.n_nodes)
-            ]
-        except _PlanUnsupported as exc:
-            self.dead = str(exc)
-            return None
-
-    def _profile_key(self, rank: int, distribution) -> tuple:
+    def _rank_tape(self, rank: int, distribution, n_iter: int) -> _Tape:
         start, stop = distribution.rows_of(rank)
-        if self._position_dependent:
-            return (rank, start, stop)
-        return (rank, stop - start)
+        key = (rank, start, stop) if self._position_dependent else (
+            rank, stop - start
+        )
+        tape = self._tapes.get(key)
+        if tape is not None and tape.covers(n_iter):
+            self.tape_hits += 1
+            return tape
+        tape = self._drive_tape(rank, distribution, n_iter)
+        self._tapes.put(key, tape)
+        return tape
 
-    def _rank_profile(self, rank: int, distribution) -> np.ndarray:
-        key = self._profile_key(rank, distribution)
-        prof = self._profiles.get(key)
-        if prof is not None:
-            self.profile_hits += 1
-            return prof
-        self.profile_misses += 1
-        ops, durs = self._drive_rank(rank, distribution, shortcut=True)
-        if list(ops) != self._rank_ops[rank][: len(ops)]:
-            raise _PlanUnsupported(
-                f"skeleton: rank {rank} changed across candidates"
-            )
-        prof = self._finish_profile(rank, ops, durs)
-        self._profiles.put(key, prof)
-        return prof
-
-    def _finish_profile(self, rank: int, ops: list,
-                        durs: List[float]) -> np.ndarray:
-        """Extend a (possibly shortcut) drive to the full probe length
-        by replicating the last driven iteration's durations."""
-        skeleton = self._rank_ops[rank]
-        if len(ops) == len(skeleton):
-            return np.asarray(durs, dtype=np.float64)
-        lo, hi = self._iter_slices[rank][_SHORTCUT_DRIVEN - 1]
-        cycle = durs[lo : hi + 1]
-        out = list(durs)
-        while len(out) < len(skeleton):
-            out.extend(cycle)
-        if len(out) != len(skeleton):
-            raise _PlanUnsupported(
-                f"skeleton: rank {rank} shortcut replication misaligned"
-            )
-        return np.asarray(out, dtype=np.float64)
-
-    def _make_emulator(self):
-        if self._emulator is None:
-            from repro.sim.executor import ClusterEmulator
-
-            self._emulator = ClusterEmulator(
-                self.cluster, self.program, self.perturbation
-            )
-        return self._emulator
-
-    def _drive_rank(self, rank: int, distribution, *,
-                    shortcut: bool) -> Tuple[list, List[float]]:
-        """Drive one rank's node generator standalone and split its
-        timeline into (comm ops, preceding local durations).
-
-        The driver answers every ``Delay`` with the advanced local
-        clock and every ``Recv`` with the current clock (as if the
-        message were already there) — legitimate because all yielded
-        durations are independent of absolute time, so only the
-        *segments between* communication points are being measured; the
-        cross-node coupling is replayed later by the compiled walk.
-
-        With ``shortcut`` enabled the drive stops after
-        ``_SHORTCUT_DRIVEN`` iterations when (a) this rank's skeleton
-        repeats structurally, (b) the last two driven iterations have
-        bitwise-identical durations, and (c) no disk stream is still
-        warming (a cold stream could cross its first-full-pass
-        threshold in a later probe iteration and change durations, so
-        it forces a full drive — mirroring what the engine probe would
-        observe).
-        """
-        emulator = self._make_emulator()
-        label = "x".join(map(str, distribution.counts))
+    def _drive_tape(self, rank: int, distribution, n_iter: int) -> _Tape:
+        """Lower one rank by driving its node generator on a
+        :class:`_TapeCtx`, stopping once two consecutive iterations are
+        identical and no disk stream was warming at the end of either
+        (the disk state then repeats too, so every later iteration
+        would record the same ops)."""
+        self.tape_drives += 1
+        emulator = self._emulator
         ctx = emulator._make_context(
-            rank, distribution[rank], label, None, False
+            rank, distribution[rank], "", None, False, context=_TapeCtx
         )
-        # The contexts argument of _node_process is unused by the body;
-        # the generator only touches its own ctx and the distribution.
-        gen = emulator._node_process(
-            ctx, None, distribution, PROBE_ITERATIONS, False
-        )
-        ops: list = []
-        durs: List[float] = []
-        seg = 0.0
-        t = 0.0
-        ends_seen = 0
-        may_stop = (
-            shortcut
-            and self._shortcut_ok[rank]
-            and PROBE_ITERATIONS > _SHORTCUT_DRIVEN
-        )
-        try:
-            req = next(gen)
-            while True:
-                while len(ctx.iteration_ends) > ends_seen:
-                    ops.append(("E", ends_seen))
-                    durs.append(seg)
-                    seg = 0.0
-                    ends_seen += 1
-                    if may_stop and ends_seen == _SHORTCUT_DRIVEN:
-                        if self._stationary(rank, ctx, durs):
-                            gen.close()
-                            self.shortcut_drives += 1
-                            return ops, durs
-                        may_stop = False
-                kind = type(req)
-                if kind is Delay:
-                    seg += req.seconds
-                    t += req.seconds
-                    req = gen.send(t)
-                elif kind is Send:
-                    ops.append(("S", ctx.rank, req.dst, req.tag, req.transfer))
-                    durs.append(seg)
-                    seg = 0.0
-                    req = gen.send(t)
-                elif kind is Recv:
-                    ops.append(("R", req.src, ctx.rank, req.tag))
-                    durs.append(seg)
-                    seg = 0.0
-                    req = gen.send(t)
-                else:
-                    raise _PlanUnsupported(
-                        f"request: unsupported {kind.__name__} from rank {rank}"
-                    )
-        except StopIteration:
-            pass
-        while len(ctx.iteration_ends) > ends_seen:
-            ops.append(("E", ends_seen))
-            durs.append(seg)
-            seg = 0.0
-            ends_seen += 1
-        if ends_seen != PROBE_ITERATIONS:
-            raise _PlanUnsupported(
-                f"skeleton: rank {rank} produced {ends_seen} iteration ends, "
-                f"expected {PROBE_ITERATIONS}"
-            )
-        self.full_drives += 1
-        return ops, durs
-
-    def _stationary(self, rank: int, ctx, durs: List[float]) -> bool:
-        """May the remaining probe iterations be replicated from the
-        last driven one?  See :meth:`_drive_rank`."""
-        slices = self._iter_slices[rank]
-        (lo1, hi1) = slices[_SHORTCUT_DRIVEN - 2]
-        (lo2, hi2) = slices[_SHORTCUT_DRIVEN - 1]
-        if durs[lo1 : hi1 + 1] != durs[lo2 : hi2 + 1]:
-            return False
-        disk = ctx.disk
-        # Private DiskModel state, same package: a stream that has been
-        # touched but is not yet warm may flip mid-probe.
-        for name, streamed in disk._streamed.items():
-            if streamed > 0 and not disk._warm.get(name, False):
-                return False
-        return True
-
-    # -- compilation ----------------------------------------------------------
-
-    def _compile(self, distribution) -> None:
-        """Discover the skeleton from the first candidate, compile the
-        dependency-ordered schedule, and self-check against a real
-        engine probe."""
-        emulator = self._make_emulator()
-        P = self.cluster.n_nodes
-        self._shortcut_ok = [False] * P  # no shortcut during discovery
-        self._iter_slices = [[] for _ in range(P)]
-        rank_ops: List[list] = []
-        rank_durs: List[List[float]] = []
-        for rank in range(P):
-            ops, durs = self._drive_rank(rank, distribution, shortcut=False)
-            rank_ops.append(ops)
-            rank_durs.append(durs)
-        self._rank_ops = rank_ops
-        self._iter_slices = [self._slice_iterations(ops) for ops in rank_ops]
-        self._shortcut_ok = [
-            self._structurally_repeating(rank) for rank in range(P)
-        ]
-        self._compile_schedule()
-        self._self_check(emulator, distribution, rank_durs)
-        # The discovery drives double as the first candidate's profiles.
-        for rank in range(P):
-            self._profiles.put(
-                self._profile_key(rank, distribution),
-                np.asarray(rank_durs[rank], dtype=np.float64),
-            )
-
-    def _slice_iterations(self, ops: list) -> List[Tuple[int, int]]:
-        """Per-iteration (first, last) op index ranges (END inclusive)."""
-        slices = []
-        start = 0
-        for i, op in enumerate(ops):
-            if op[0] == "E":
-                slices.append((start, i))
-                start = i + 1
-        return slices
-
-    def _iter_signature(self, ops: list, lo: int, hi: int) -> tuple:
-        """Tag-free structural signature of one iteration's ops."""
-        sig = []
-        for op in ops[lo : hi + 1]:
-            if op[0] == "S":
-                sig.append(("S", op[2], op[4]))  # dst, transfer
-            elif op[0] == "R":
-                sig.append(("R", op[1]))  # src
+        gen = emulator._node_process(ctx, None, distribution, n_iter, False)
+        tape = ctx.tape
+        share = self._shared_ops.setdefault
+        iterations: List[tuple] = []
+        draws: List[int] = []
+        settled: List[bool] = []
+        # A receive resumes with a time; the tape records no clock.
+        req = next(gen, None)
+        while req is not None:
+            kind = type(req)
+            if kind is Send:
+                # Tags lead with the iteration; deliveries are keyed by
+                # the rest plus the walk's own iteration counter.
+                tape.append((_T_SEND, (rank, req.dst) + req.tag[1:], req.transfer))
+            elif kind is Recv:
+                tape.append((_T_RECV, (req.src, rank) + req.tag[1:]))
+            elif req is _ITERATION_END:
+                iterations.append(tuple(
+                    share(op, op) if op[0] in _ROW_FREE else op for op in tape
+                ))
+                draws.append(sum(1 for op in tape if op[0] == _T_NOISE))
+                settled.append(not ctx.disk.warming())
+                tape.clear()
+                if (len(iterations) >= 2 and settled[-1] and settled[-2]
+                        and iterations[-1] == iterations[-2]):
+                    gen.close()
+                    iterations.pop()
+                    draws.pop()
+                    return _Tape(iterations, draws, True)
             else:
-                sig.append(("E",))
-        return tuple(sig)
+                raise _PlanUnsupported(
+                    f"request: unsupported {kind.__name__} from rank {rank}"
+                )
+            try:
+                req = gen.send(0.0)
+            except StopIteration:
+                req = None
+        return _Tape(iterations, draws, False)
 
-    def _structurally_repeating(self, rank: int) -> bool:
-        """Do iterations ``_SHORTCUT_DRIVEN-1 .. probe-1`` share one
-        op structure, making duration replication well defined?"""
-        if PROBE_ITERATIONS <= _SHORTCUT_DRIVEN:
-            return False
-        ops = self._rank_ops[rank]
-        slices = self._iter_slices[rank]
-        ref = self._iter_signature(ops, *slices[_SHORTCUT_DRIVEN - 1])
-        return all(
-            self._iter_signature(ops, *slices[k]) == ref
-            for k in range(_SHORTCUT_DRIVEN - 2, len(slices))
-        )
+    # -- the walk -------------------------------------------------------------
 
-    def _compile_schedule(self) -> None:
-        """Lower the per-rank skeletons into one dependency-ordered
-        instruction list plus dense channel slots."""
-        P = len(self._rank_ops)
-        channels: Dict[tuple, int] = {}
-        sends: set = set()
-        recvs: set = set()
-
-        def chan_id(key: tuple) -> int:
-            if key not in channels:
-                channels[key] = len(channels)
-            return channels[key]
-
-        lowered: List[List[Tuple[int, int, float]]] = []
-        for rank, ops in enumerate(self._rank_ops):
-            row = []
-            for op in ops:
-                if op[0] == "S":
-                    key = (op[1], op[2], op[3])  # (src, dst, tag)
-                    if key in sends:
-                        raise _PlanUnsupported(f"schedule: channel {key} sent twice")
-                    sends.add(key)
-                    row.append((_SEND, chan_id(key), op[4]))
-                elif op[0] == "R":
-                    key = (op[1], op[2], op[3])
-                    if key in recvs:
-                        raise _PlanUnsupported(
-                            f"schedule: channel {key} received twice"
-                        )
-                    recvs.add(key)
-                    row.append((_RECV, chan_id(key), 0.0))
-                else:
-                    row.append((_END, op[1], 0.0))
-            lowered.append(row)
-        if not recvs <= sends:
-            raise _PlanUnsupported("schedule: receive without a matching send")
-        self._n_channels = max(len(channels), 1)
-
-        pos = [0] * P
-        delivered: set = set()
-        sched: List[Tuple[int, int, int, int, float]] = []
-        total = sum(len(row) for row in lowered)
-        while len(sched) < total:
-            progress = False
-            for rank in range(P):
-                row = lowered[rank]
-                while pos[rank] < len(row):
-                    kind, a, transfer = row[pos[rank]]
-                    if kind == _RECV and a not in delivered:
-                        break
-                    sched.append((rank, kind, a, pos[rank], transfer))
-                    if kind == _SEND:
-                        delivered.add(a)
-                    pos[rank] += 1
-                    progress = True
-            if not progress:
-                raise _PlanUnsupported("schedule: deadlocked")
-        self._sched = sched
-        self._positions = [
-            np.fromiter(
-                (i for i, s in enumerate(sched) if s[0] == rank),
-                np.int64,
-                len(lowered[rank]),
-            )
-            for rank in range(P)
-        ]
-
-    def _self_check(self, emulator, distribution,
-                    rank_durs: List[List[float]]) -> None:
-        """Compare the compiled walk against one real engine probe."""
-        profs = [np.asarray(d, dtype=np.float64) for d in rank_durs]
-        plan_ends = self._walk_scalar(profs)
-        engine = emulator._simulate(
-            distribution, None, False, PROBE_ITERATIONS
-        )
-        for plan_row, engine_row in zip(plan_ends, engine.iteration_ends):
-            if len(plan_row) != len(engine_row):
-                raise _PlanUnsupported("self_check: iteration count differs")
-            for a, b in zip(plan_row, engine_row):
-                scale = max(abs(a), abs(b), 1e-30)
-                if abs(a - b) / scale > _SELF_CHECK_RTOL:
-                    raise _PlanUnsupported(
-                        f"self_check: plan {a!r} vs engine {b!r}"
-                    )
-
-    # -- walks ----------------------------------------------------------------
-
-    def _walk_scalar(self, profs: Sequence[np.ndarray]) -> List[List[float]]:
-        """Replay the probe for one candidate with plain floats.
-
-        Bit-identical to one lane of :meth:`_walk_batch`: the op
-        sequence is the same and every step is an IEEE double add or
-        two-way max with no cross-lane interaction.
-        """
-        P = len(profs)
-        durs = [p.tolist() for p in profs]
-        clock = [0.0] * P
-        deliver = [0.0] * self._n_channels
-        ends: List[List[float]] = [
-            [0.0] * PROBE_ITERATIONS for _ in range(P)
-        ]
-        for rank, kind, a, idx, transfer in self._sched:
-            c = clock[rank] + durs[rank][idx]
-            if kind == _SEND:
-                deliver[a] = c + transfer
-            elif kind == _RECV:
-                d = deliver[a]
-                if d > c:
-                    c = d
+    def _walk(self, distribution, tapes: Sequence[_Tape],
+              n_iter: int) -> List[List[float]]:
+        """Interleave the ranks' walks: each runs until it needs a
+        message not yet sent, and a pass that moves no rank is a
+        deadlock."""
+        label = "x".join(map(str, distribution.counts))
+        noisy = self.perturbation.compute_noise
+        deliver: dict = {}
+        ends: List[List[float]] = [[] for _ in tapes]
+        walkers = []
+        for rank, tape in enumerate(tapes):
+            n = tape.total_draws(n_iter)
+            if noisy:
+                model = self._emulator._perturbation_model(rank, label, False)
+                noise = model.noise_factors(n).tolist()
             else:
-                ends[rank][a] = c
-            clock[rank] = c
+                noise = [1.0] * n
+            walkers.append(_walk_rank(tape, noise, n_iter, deliver, ends[rank]))
+        waiting: List[Optional[tuple]] = [None] * len(walkers)
+        active = list(range(len(walkers)))
+        while active:
+            still = []
+            moved = False
+            for rank in active:
+                key = waiting[rank]
+                if key is None or key in deliver:
+                    moved = True
+                    try:
+                        waiting[rank] = next(walkers[rank])
+                    except StopIteration:
+                        continue
+                still.append(rank)
+            if not moved:
+                raise _PlanUnsupported("schedule: walk deadlocked")
+            active = still
         return ends
 
-    def _walk_batch(
-        self, all_profs: Sequence[Sequence[np.ndarray]]
-    ) -> np.ndarray:
-        """Replay the probe for ``B`` candidates over ``(B, P)`` clocks."""
-        B = len(all_profs)
-        P = len(self._positions)
-        N = len(self._sched)
-        durs = np.empty((B, N), dtype=np.float64)
-        for rank in range(P):
-            durs[:, self._positions[rank]] = np.stack(
-                [all_profs[b][rank] for b in range(B)]
-            )
-        clock = np.zeros((B, P))
-        deliver = np.zeros((B, self._n_channels))
-        ends = np.zeros((B, P, PROBE_ITERATIONS))
-        for i, (rank, kind, a, _idx, transfer) in enumerate(self._sched):
-            col = clock[:, rank]
-            col += durs[:, i]
-            if kind == _SEND:
-                deliver[:, a] = col + transfer
-            elif kind == _RECV:
-                np.maximum(col, deliver[:, a], out=col)
-            else:
-                ends[:, rank, a] = col
-        return ends
+    def _self_check(self, distribution, ends: List[List[float]],
+                    n_iter: int) -> None:
+        """Compare the first walked candidate, bitwise, with an engine
+        run of its first ``min(n_iter, 2)`` iterations."""
+        with self._lock:
+            if self._checked:
+                return
+            m = min(n_iter, 2)
+            engine = self._emulator._simulate(distribution, None, False, m)
+            walked = [row[:m] for row in ends]
+            if walked != engine.iteration_ends:
+                raise _PlanUnsupported(
+                    f"self_check: walk {walked!r} vs engine "
+                    f"{engine.iteration_ends!r}"
+                )
+            self._checked = True

@@ -26,10 +26,12 @@ Eligibility is decided *structurally* first
 (:func:`fast_forwardable`): any stochastic perturbation
 (computation noise, background load), a non-uniform iteration profile,
 an attached observer (which must see every event) or an instrumented
-run disqualifies the fast path up front.  Convergence detection is the
-second, empirical gate: a workload that passes the structural check but
-whose deltas have not settled in the probe window falls back to full
-simulation.
+run disqualifies extrapolation up front.  Convergence detection is the
+second, empirical gate.  In 1-D a run refused only for its noise,
+for being no longer than the probe, or for a probe that did not settle
+is not simulated event by event: the compiled plan walks all of its
+iterations (:meth:`~repro.sim.plan_sim.EmulationPlan.walk_ends`),
+bitwise equal to the engine.  In 2-D such runs take the full engine.
 """
 
 from __future__ import annotations
@@ -69,8 +71,11 @@ PROBE_ITERATIONS = WARMUP + STABLE + 1
 def fast_forwardable(program, perturbation, *, observer=None,
                           instrumented: bool = False,
                           dynamics=None) -> bool:
-    """Structural eligibility: is this run iteration-invariant and
-    unobserved, so that cycle fast-forward *could* apply?
+    """Structural eligibility for extrapolation: is this run
+    iteration-invariant and unobserved, so that cycle fast-forward
+    *could* apply?  (A 1-D run refused here for noise alone is still
+    served by the compiled plan, walked in full rather than
+    extrapolated.)
 
     * An observer must see every event of every iteration; skipping
       iterations would drop records.

@@ -4,10 +4,10 @@
 application x cluster combination, sync and prefetching, its results
 are bit-identical to looping ``emulate`` — same totals, same per-node
 finish times, same iteration ends, same fast-forward flags.  Runs the
-compiled :class:`EmulationPlan` cannot honestly serve (perturbed,
-non-converging, short) must fall back per candidate to the exact
-engine path, and the run cache must interact with batches exactly as
-with single runs.  Plus the engine regression pin: a non-traced run
+compiled :class:`EmulationPlan` cannot extrapolate (perturbed,
+non-converging, short) or cannot serve at all (a dead plan) must take
+the exact single-run path per candidate, and the run cache must
+interact with batches exactly as with single runs.  Plus the engine regression pin: a non-traced run
 allocates zero ``EventRecord`` objects.
 """
 

@@ -238,6 +238,26 @@ class TestPerturbations:
         ).run(d)
         assert noisy.total_seconds != ideal.total_seconds
 
+    def test_vector_noise_draw_is_bitwise_the_scalar_calls(self):
+        """The compiled plan's full walk draws a rank's whole noise
+        vector in one call; a numpy change that made that differ from
+        the engine's one-call-per-stage draws must fail here, loudly,
+        instead of quietly moving every noisy figure."""
+        import numpy as np
+
+        from repro.sim import PerturbationModel
+        from repro.util.rng import stream
+
+        cfg = PerturbationConfig()
+        labels = ("pin", 3)
+        scalar = PerturbationModel(cfg, run_labels=labels)
+        calls = np.array([scalar.noise_factor() for _ in range(10_000)])
+        rng = stream(cfg.seed_label, *labels)
+        literal = np.exp(rng.normal(0, cfg.noise_sigma, size=10_000))
+        vector = PerturbationModel(cfg, run_labels=labels).noise_factors(10_000)
+        assert np.array_equal(literal.view(np.uint64), calls.view(np.uint64))
+        assert np.array_equal(vector.view(np.uint64), calls.view(np.uint64))
+
     def test_noise_is_small(self, base_cluster, jacobi_like):
         d = block(base_cluster, jacobi_like.n_rows)
         ideal = ClusterEmulator(base_cluster, jacobi_like, IDEAL).run(d)

@@ -4,16 +4,18 @@ The steady-state fast path (`repro.sim.steady`) must be an *invisible*
 optimisation: on every seed application x cluster combination, sync and
 prefetching, the extrapolated ``RunResult`` has to match full
 event-by-event simulation to <= 1e-9 relative on the total, every
-node's finish time and every iteration end — and any run the fast path
-cannot honestly reproduce (perturbed, observed, instrumented,
-non-uniform iterations, non-converging) must silently fall back to the
-full simulation, bit for bit.
+node's finish time and every iteration end.  A plan-eligible run that
+cannot be extrapolated (perturbed, short, non-converging) is walked in
+full by the compiled plan, bit for bit; one the plan cannot lower
+(background load, non-uniform iterations, forced io_mode) or an
+observed/instrumented one runs the full simulation.
 """
 
 import numpy as np
 import pytest
 
 import repro.sim.executor as executor_mod
+import repro.sim.plan_sim as plan_sim
 from repro.apps import (
     ConjugateGradientApp,
     JacobiApp,
@@ -22,7 +24,7 @@ from repro.apps import (
     RnaPipelineApp,
 )
 from repro.cluster import table1_configs
-from repro.distribution import block
+from repro.distribution import GenBlock, block, spectrum
 from repro.obs import Recorder
 from repro.parallel.cache import RunCache
 from repro.sim import (
@@ -37,6 +39,7 @@ from repro.sim.trace import TraceCollector
 
 SCALE = 0.05
 ITERATIONS = 16  # > probe window (PROBE_ITERATIONS == 7)
+WALK_ITERATIONS = 8  # enough for every rank tape to reach its repeat
 APPS = {
     "jacobi": JacobiApp,
     "cg": ConjugateGradientApp,
@@ -105,6 +108,72 @@ class TestGoldenEquivalence:
         assert fast.iterations == ITERATIONS
 
 
+class TestNoisyWalkGolden:
+    """The plan's full walk vs full simulation under the default noisy
+    ground truth, on the whole seed grid at scale 0.1 and at paper scale
+    (where the IO and hybrid configurations stream from disk): bitwise
+    equal, every time."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    @pytest.mark.parametrize("config", ["DC", "IO", "HY1", "HY2"])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    @pytest.mark.parametrize("io_mode", ["sync", "prefetch"])
+    def test_walk_is_bitwise_the_engine(self, scale, config, app, io_mode):
+        cluster = table1_configs()[config]
+        application = APPS[app].paper(scale)
+        program = (
+            application.prefetching()
+            if io_mode == "prefetch"
+            else application.structure
+        ).with_iterations(WALK_ITERATIONS)
+        emulator = ClusterEmulator(cluster, program, PerturbationConfig())
+        skewed = spectrum(cluster, program, steps_per_leg=1)[1].distribution
+        for d in (block(cluster, program.n_rows), skewed):
+            rec = Recorder()
+            walked = emulator.run(d, telemetry=rec)
+            full = emulator.run(d, fast_forward=False)
+            assert rec.counters["sim/plan_walks"] == 1
+            assert not walked.fast_forwarded
+            assert walked.iteration_ends == full.iteration_ends
+            assert walked.total_seconds == full.total_seconds
+
+
+    def test_sparse_weights_key_tapes_by_row_range(self):
+        # CG's ground-truth row weights make a rank's cost depend on
+        # where its rows sit, not only on how many: two candidates that
+        # give the bottleneck rank 1 the same count at different
+        # offsets must not share its lowered tape.
+        cluster = table1_configs()["HY1"]
+        program = ConjugateGradientApp.paper(SCALE).structure
+        n = program.n_rows
+        small = n // 32
+        base = [small] * 8
+        base[1] = n - 7 * small
+        shifted = list(base)
+        shifted[0] += small // 2
+        shifted[2] -= small // 2
+        emulator = ClusterEmulator(cluster, program, PerturbationConfig())
+        for counts in (base, shifted):
+            d = GenBlock(counts)
+            walked = emulator.run(d)
+            assert walked.iteration_ends == emulator.run(
+                d, fast_forward=False
+            ).iteration_ends
+
+
+    def test_short_tape_is_relowered_for_a_longer_run(self):
+        # A one-iteration run lowers only the cold first iteration; a
+        # later, longer run of the same candidate must not replicate it.
+        cluster = table1_configs()["HY1"]
+        program = JacobiApp.paper(1.0).structure
+        emulator = ClusterEmulator(cluster, program, PerturbationConfig())
+        d = block(cluster, program.n_rows)
+        for iterations in (1, WALK_ITERATIONS):
+            walked = emulator.run(d, iterations=iterations)
+            full = emulator.run(d, iterations=iterations, fast_forward=False)
+            assert walked.iteration_ends == full.iteration_ends
+
+
 class TestFallbacks:
     """Runs the fast path must not touch fall back to full simulation."""
 
@@ -113,19 +182,30 @@ class TestFallbacks:
         program = JacobiApp.paper(SCALE).structure.with_iterations(ITERATIONS)
         return cluster, program
 
-    def test_perturbed_run_bypasses_and_is_bitwise_identical(self):
+    def test_perturbed_run_is_walked_bitwise(self):
         cluster, program = self._cluster_program()
-        full, fast = _run_pair(cluster, program, PerturbationConfig())
+        rec = Recorder()
+        full, fast = _run_pair(
+            cluster, program, PerturbationConfig(), telemetry=rec
+        )
+        # Walked, not extrapolated: every iteration was replayed.
         assert not fast.fast_forwarded
+        assert rec.counters["sim/plan_walks"] == 1
+        assert "sim/plan_fallbacks" not in rec.counters
         assert fast.total_seconds == full.total_seconds
+        assert fast.per_node_seconds == full.per_node_seconds
         assert fast.iteration_ends == full.iteration_ends
 
     def test_background_load_bypasses(self):
         cluster, program = self._cluster_program()
         pert = DETERMINISTIC.without(background_load=0.2)
         assert not fast_forwardable(program, pert)
-        _, fast = _run_pair(cluster, program, pert)
+        rec = Recorder()
+        full, fast = _run_pair(cluster, program, pert, telemetry=rec)
         assert not fast.fast_forwarded
+        assert fast.iteration_ends == full.iteration_ends
+        assert rec.counters["sim/plan_fallbacks"] == 1
+        assert rec.counters["sim/plan_fallbacks/background_load"] == 1
 
     def test_observer_bypasses_and_sees_every_iteration(self):
         cluster, program = self._cluster_program()
@@ -146,9 +226,12 @@ class TestFallbacks:
         cluster, program = self._cluster_program()
         profile = np.linspace(1.0, 2.0, ITERATIONS)
         varying = program.with_iteration_profile(profile)
-        full, fast = _run_pair(cluster, varying)
+        rec = Recorder()
+        full, fast = _run_pair(cluster, varying, telemetry=rec)
         assert not fast.fast_forwarded
         assert fast.total_seconds == full.total_seconds
+        assert rec.counters["sim/plan_fallbacks"] == 1
+        assert rec.counters["sim/plan_fallbacks/iteration_profile"] == 1
 
     def test_short_run_bypasses(self):
         cluster, program = self._cluster_program()
@@ -158,7 +241,7 @@ class TestFallbacks:
         )
         assert not short.fast_forwarded
 
-    def test_non_converging_probe_falls_back(self, monkeypatch):
+    def test_non_converging_probe_is_walked(self, monkeypatch):
         cluster, program = self._cluster_program()
         monkeypatch.setattr(
             executor_mod, "steady_deltas", lambda ends: None
@@ -167,8 +250,34 @@ class TestFallbacks:
         full, fast = _run_pair(cluster, program, telemetry=rec)
         assert not fast.fast_forwarded
         assert fast.iteration_ends == full.iteration_ends
+        assert rec.counters["sim/plan_walks"] == 1
+        assert "sim/plan_fallbacks" not in rec.counters
+
+    def test_failed_walk_self_check_retires_the_plan(self, monkeypatch):
+        cluster, program = self._cluster_program()
+        real_walk = plan_sim._walk_rank
+
+        def skewed_walk(tape, noise, n_iter, deliver, ends):
+            yield from real_walk(tape, noise, n_iter, deliver, ends)
+            ends[0] += 1e-9
+
+        monkeypatch.setattr(plan_sim, "_walk_rank", skewed_walk)
+        pert = PerturbationConfig()
+        emulator = ClusterEmulator(cluster, program, pert)
+        # A fresh plan, so its walk has not been self-checked yet.
+        emulator._emulation_plan = plan_sim.EmulationPlan(
+            cluster, program, pert
+        )
+        d = block(cluster, program.n_rows)
+        rec = Recorder()
+        walked = emulator.run(d, telemetry=rec)
+        assert walked.iteration_ends == emulator.run(
+            d, fast_forward=False
+        ).iteration_ends
+        assert emulator._emulation_plan.dead.startswith("self_check:")
         assert rec.counters["sim/plan_fallbacks"] == 1
-        assert rec.counters["sim/plan_fallbacks/not_converged"] == 1
+        assert rec.counters["sim/plan_fallbacks/dead/self_check"] == 1
+        assert "sim/plan_walks" not in rec.counters
 
     def test_forced_io_mode_runs_the_engine(self):
         # Plans are compiled for the program's own streaming style; a

@@ -9,7 +9,9 @@ arbitrary distributions.  Hypothesis generates the cases.
 
 Its second invariant, the fast path against its reference, is drawn on
 the same random programs at iteration counts long enough to reach the
-steady-state walk and its extrapolation.
+steady-state walk and its extrapolation — and, under the default noisy
+ground truth, as the emulation plan's full walk, bitwise against the
+event engine.
 """
 
 import numpy as np
@@ -21,8 +23,9 @@ from repro.cluster import ClusterSpec, NetworkSpec, NodeSpec
 from repro.core import MhetaModel
 from repro.distribution import GenBlock, largest_remainder_round
 from repro.instrument.collect import MeasurementConfig, collect_inputs
+from repro.obs import Recorder
 from repro.program import ProgramBuilder
-from repro.sim import ClusterEmulator, PerturbationConfig
+from repro.sim import ClusterEmulator, PerturbationConfig, emulate
 from repro.util.units import mib
 
 IDEAL = PerturbationConfig.none()
@@ -40,12 +43,17 @@ cluster_strategy = st.lists(node_strategy, min_size=2, max_size=6)
 
 
 @st.composite
-def program_strategy(draw, iterations=st.integers(1, 4)):
+def program_strategy(draw, iterations=st.integers(1, 4), weighted=st.just(False)):
     n_rows = draw(st.sampled_from([64, 256, 1024]))
     cols = draw(st.sampled_from([16, 256, 2048]))
     iterations = draw(iterations)
     prefetch = draw(st.booleans())
     builder = ProgramBuilder("random", n_rows=n_rows, iterations=iterations)
+    if draw(weighted):
+        # Sparse ground-truth row weights: the walk's lowered ranks
+        # are then keyed by absolute row range, not row count.
+        period = draw(st.sampled_from([3, 7, 64]))
+        builder.weights(1.0 + np.arange(n_rows) % period)
     builder.distributed("big", cols=cols, access="read-write")
     builder.distributed("vec", cols=1, access="read-write")
     if draw(st.booleans()):
@@ -221,3 +229,42 @@ def test_plan_kernel_matches_scalar_on_long_random_programs(
         want = scalar.predict(d)
         assert one == pytest.approx(want, rel=1e-12, abs=0.0)
         assert float(many) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    cluster_spec=st.lists(node_strategy, min_size=1, max_size=6),
+    program=program_strategy(
+        iterations=st.integers(1, 30), weighted=st.booleans()
+    ),
+    shares=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+)
+def test_noisy_walk_is_bitwise_the_engine(cluster_spec, program, shares):
+    """Under the default noisy ground truth every eligible run is walked
+    in full by the emulation plan, and must equal the event engine bit
+    for bit — sync and prefetch, with and without row weights, at any
+    iteration count."""
+    cluster = make_cluster(cluster_spec)
+    distribution = GenBlock(
+        largest_remainder_round(
+            np.array(shares[: cluster.n_nodes]), program.n_rows, minimum=1
+        )
+    )
+    noisy = PerturbationConfig()
+    rec = Recorder()
+    walked = emulate(
+        cluster, program, distribution,
+        perturbation=noisy, run_cache=False, telemetry=rec,
+    )
+    engine = emulate(
+        cluster, program, distribution,
+        perturbation=noisy, fast_forward=False, run_cache=False,
+    )
+    assert rec.counters["sim/plan_walks"] == 1
+    assert not walked.fast_forwarded
+    assert walked.iteration_ends == engine.iteration_ends
+    assert walked.total_seconds == engine.total_seconds
