@@ -25,7 +25,7 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.instrument.inputs import MhetaInputs, NodeCosts
 from repro.placement import MemoryPlan
-from repro.program.sections import ParallelSection
+from repro.program.sections import CommPattern, ParallelSection
 from repro.program.stages import Stage
 from repro.program.structure import ProgramStructure
 
@@ -317,7 +317,8 @@ class StageTimeModel:
             p = placements.get(name)
             return p is not None and not p.in_core
 
-        tile_rows_all = self.section_tile_rows(rows, section.tiles)
+        tiles = section.tiles
+        tile_rows_all = np.diff(rows * np.arange(tiles + 1) // tiles)
         total = 0.0
         for stage in section.stages:
             reads_ooc = [v for v in stage.reads if _ooc(v)]
@@ -339,159 +340,313 @@ class StageTimeModel:
                 )
         return total
 
-    # -- vectorized section kernel ----------------------------------------------
-    #
-    # The scalar methods above walk tiles, then ICLA blocks, in Python.
-    # Every block of one tile is full-sized except possibly the last, so
-    # the per-tile streaming loops collapse to closed forms in the number
-    # of full blocks and the remainder — which makes all tiles of a
-    # section one set of array expressions.  These methods fill the
-    # compiled plan's table store (``kernel="plan"``); they agree with
-    # the scalar reference to rounding (associativity of the sums
-    # differs, nothing else), which the golden equivalence suite pins
-    # to <= 1e-12 relative error.
 
-    def section_tile_rows(self, rows: int, tiles: int) -> np.ndarray:
-        """Row counts of every tile at once (the vectorised counterpart
-        of the model's per-tile ``(rows * t) // tiles`` bounds)."""
-        bounds = (rows * np.arange(tiles + 1, dtype=np.int64)) // tiles
-        return bounds[1:] - bounds[:-1]
+# -- batched lane tables ------------------------------------------------------
 
-    def section_tile_times(
-        self,
-        node: int,
-        rows: int,
-        section: ParallelSection,
-        plan: MemoryPlan,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-tile ``(totals, computes)`` for every stage of ``section``
-        summed, as float64 arrays of length ``section.tiles``."""
-        tiles = section.tiles
-        tile_rows = self.section_tile_rows(rows, tiles)
-        variables = self._program.variable_map
-        placements = plan.placements
 
-        def _ooc(name: str) -> bool:
-            p = placements.get(name)
-            return p is not None and not p.in_core
+class LaneStageTables:
+    """Stage tables for many ``(node, rows)`` lanes in one numpy pass
+    (the compiled plan's row-store fill), from per-node constants
+    gathered into arrays once: seeks, per-variable byte latencies, each
+    stage's measured compute seconds, ``rows0``.
 
-        totals = np.zeros(tiles)
-        computes = np.zeros(tiles)
-        for stage in section.stages:
-            compute_total = self.scaled_compute(node, section, stage, rows)
-            if rows > 0:
-                tile_compute = compute_total * (tile_rows / rows)
-            else:
-                tile_compute = np.zeros(tiles)
-            reads_ooc = [v for v in stage.reads if _ooc(v)]
-            writes_ooc = [v for v in stage.writes if _ooc(v)]
-            primary = reads_ooc[0] if reads_ooc else None
-            io = np.zeros(tiles)
-            if primary is None:
-                for name in writes_ooc:
-                    io = io + self._stream_seconds_array(
-                        node, name, plan, tile_rows, read=False, write=True
+    What a stage streams depends on which variables a lane holds out of
+    core, so each variable's contribution is computed over all lanes
+    and masked in; adding an exact ``0.0`` leaves a sum unchanged, so
+    every lane follows :meth:`StageTimeModel.tile_stage_times`' order of
+    additions.  Single-tile sections and the source reads equal the
+    scalar reference bitwise; multi-tile sections use closed forms over
+    a ``(lanes, tiles)`` axis, within rounding of it.
+    """
+
+    def __init__(self, stage_model: StageTimeModel, sections, offsets) -> None:
+        program = stage_model._program
+        inputs = stage_model._inputs
+        P = inputs.n_nodes
+        dist = program.distributed_variables
+        index = {v.name: i for i, v in enumerate(dist)}
+        disks = inputs.micro.disks
+        self._prefetch = program.prefetch
+        self._issue = stage_model._issue_overhead
+        self._offsets = list(offsets)
+        self._row_bytes = [v.row_bytes for v in dist]
+        self._read_seek = np.array([disks[n].read_seek for n in range(P)])
+        self._write_seek = np.array([disks[n].write_seek for n in range(P)])
+        self._read_pb, self._write_pb = (np.array([
+            [pb(n, v.name) for n in range(P)] for v in dist
+        ]).reshape(len(dist), P) for pb in (
+            stage_model._read_pb, stage_model._write_pb
+        ))
+        self._rows0 = np.array([c.rows0 for c in inputs.nodes])
+        # A node missing a stage measurement (or with no instrumented
+        # rows) fails every prediction; ``error`` keeps the scalar
+        # path's message for the first such node, for callers to raise
+        # before building lanes.
+        errors: dict = {}
+        self._sections = []
+        for section in sections:
+            stages = []
+            for stage in section.stages:
+                compute = np.full(P, np.nan)  # measured seconds per node
+                for n in range(P):
+                    try:
+                        compute[n] = stage_model.scaled_compute(
+                            n, section, stage, inputs.nodes[n].rows0
+                        )
+                    except ModelError as exc:
+                        errors.setdefault(n, str(exc))
+                reads = [index[v] for v in stage.reads if v in index]
+                writes = [index[v] for v in stage.writes if v in index]
+                write_back = [v in writes and dist[v].writes_back
+                              for v in reads]
+                stages.append((compute, reads, writes, write_back))
+            src = section.comm.source_variable
+            nn = section.comm.pattern is CommPattern.NEAREST_NEIGHBOR
+            source = ((index[src], section.comm.message_bytes)
+                      if nn and src in index else None)
+            self._sections.append((section.tiles, stages, source))
+        self.error = errors[min(errors)] if errors else None
+
+    def __call__(self, nodes: np.ndarray, rows: np.ndarray, placements
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """The lanes' ``(L, tiles)`` totals on the flat tile axis
+        (section ``si`` owns columns ``offsets[si]:offsets[si + 1]``)
+        and ``(L, sections)`` message source-read seconds."""
+        lanes = _LanePass(self, nodes, rows, placements)
+        offsets = self._offsets
+        totals = np.empty((len(rows), offsets[-1]))
+        source = np.zeros((len(rows), len(self._sections)))
+        for si, (tiles, stages, src) in enumerate(self._sections):
+            totals[:, offsets[si]:offsets[si + 1]] = lanes.section(
+                tiles, stages
+            )
+            if src is not None and lanes.any_ooc[src[0]]:
+                v, nbytes = src
+                read = lanes.read_seek[:, 0] + nbytes * lanes.read_pb[v, :, 0]
+                source[:, si] = np.where(lanes.ooc[:, v], read, 0.0)
+        return totals, source
+
+
+class _LanePass:
+    """One batch of lanes through :class:`LaneStageTables`; every lane
+    quantity is an ``(L, 1)`` column so single- and multi-tile sections
+    share one ``(L, tiles)`` stage loop."""
+
+    def __init__(self, tables: LaneStageTables, nodes, rows, placements):
+        self.t = tables
+        self.L = len(rows)
+        self.nodes = nodes
+        self.rows = rows[:, None]
+        self.safe_rows = np.maximum(self.rows, 1)
+        self.ratio = rows / tables._rows0[nodes]
+        self.ooc = ~placements.in_core
+        self.any_ooc = self.ooc.any(axis=0).tolist()
+        self.block = placements.block_rows
+        self.read_seek = tables._read_seek[nodes][:, None]
+        self.write_seek = tables._write_seek[nodes][:, None]
+        self.read_pb = tables._read_pb[:, nodes, None]  # (V, L, 1)
+        self.write_pb = tables._write_pb[:, nodes, None]
+        self._memo: dict = {}
+
+    def _cached(self, key, build):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
+    def section(self, tiles: int, stages) -> np.ndarray:
+        """Stage tables of one section summed per tile, ``(L, tiles)``:
+        :meth:`StageTimeModel.tile_stage_times` with each branch on
+        which variables are out of core taken as a mask."""
+        if tiles == 1:
+            tile_rows, stream, loop = self.rows, self._stream, self._loop
+        else:
+            tile_rows = np.diff(
+                (self.rows * np.arange(tiles + 1)) // tiles, axis=1
+            )
+            stream = lambda v, r, w: self._closed_stream(v, tile_rows, r, w)
+            loop = lambda v, tc, wb: self._closed_loop(v, tile_rows, tc, wb)
+        ooc = self.ooc
+        totals = np.zeros((self.L, tiles))
+        for compute, reads, writes, write_back in stages:
+            # A whole-array tile takes ``compute * (rows / rows)``: the
+            # compute itself, or 0 with no rows, as the scalar rule.
+            tile_compute = (compute[self.nodes] * self.ratio)[:, None] * (
+                tile_rows / self.safe_rows
+            )
+            io = np.zeros((self.L, tiles))
+            # A lane's primary is its first out-of-core read; the other
+            # out-of-core reads stream first, then the primary, then the
+            # out-of-core writes that are not the primary.
+            taken = np.zeros(self.L, dtype=bool)
+            primaries = []
+            for v, wb in zip(reads, write_back):
+                if not self.any_ooc[v]:
+                    continue
+                first = ooc[:, v] & ~taken
+                primaries.append((v, wb, first))
+                rest = ooc[:, v] & taken
+                if rest.any():
+                    io = io + np.where(
+                        rest[:, None], stream(v, True, False), 0.0
                     )
-            else:
-                for name in reads_ooc[1:]:
-                    io = io + self._stream_seconds_array(
-                        node, name, plan, tile_rows, read=True, write=False
+                taken = taken | first
+            for v, wb, first in primaries:
+                if first.any():
+                    value = (loop(v, tile_compute, wb) if self.t._prefetch
+                             else stream(v, True, wb))
+                    io = io + np.where(first[:, None], value, 0.0)
+            for v in writes:
+                mask = ooc[:, v]
+                for p, _, first in primaries:
+                    if p == v:
+                        mask = mask & ~first
+                if self.any_ooc[v] and mask.any():
+                    io = io + np.where(
+                        mask[:, None], stream(v, False, True), 0.0
                     )
-                write_back = (
-                    primary in stage.writes and variables[primary].writes_back
-                )
-                if self._program.prefetch:
-                    io = io + self._prefetch_loop_seconds_array(
-                        node, primary, plan, tile_rows, tile_compute,
-                        write_back,
-                    )
-                else:
-                    io = io + self._stream_seconds_array(
-                        node, primary, plan, tile_rows,
-                        read=True, write=write_back,
-                    )
-                for name in writes_ooc:
-                    if name == primary:
-                        continue
-                    io = io + self._stream_seconds_array(
-                        node, name, plan, tile_rows, read=False, write=True
-                    )
-            computes = computes + tile_compute
             totals = totals + (tile_compute + io)
-        return totals, computes
+        return totals
 
-    def _block_split(self, placement, tile_rows: np.ndarray):
-        """Full-block count and remainder rows of every tile's ICLA
-        stream (the closed form of :func:`_block_rows`)."""
-        block = placement.block_rows
-        n_full = tile_rows // block
-        rem = tile_rows - n_full * block
-        return block, n_full, rem
+    # -- single tile: the block loops over block index ----------------
+    #
+    # A lane streams ``n_full`` full blocks, then a partial one when
+    # ``rem > 0``.  Sorted by full-block count, the lanes having full
+    # block ``k`` are a suffix, so block ``k`` adds its seconds to one
+    # contiguous slice: each lane adds in the scalar loop's order (its
+    # sums are bitwise equal), and the work is the blocks streamed.
 
-    def _stream_seconds_array(
-        self, node, name, plan, tile_rows: np.ndarray, *, read: bool,
-        write: bool,
-    ) -> np.ndarray:
-        """Closed form of :meth:`_stream_seconds` over all tiles."""
-        block, n_full, rem = self._block_split(plan.placements[name], tile_rows)
-        row_bytes = self._program.variable(name).row_bytes
-        disk = self._inputs.micro.disks[node]
-        has_rem = rem > 0
-        n_full_f = n_full.astype(np.float64)
-        total = np.zeros(len(tile_rows))
+    def _blocks(self, v: int):
+        """Variable ``v``'s whole-array blocks, as 1-D lane arrays:
+        block and remainder rows, the lane order by full-block count
+        (in-core lanes count none), where each block index's suffix of
+        lanes starts, and full/partial read and write seconds."""
+        def build():
+            rows = self.rows[:, 0]
+            br = self.block[:, v]
+            n_full = rows // br
+            rem = rows - n_full * br
+            rb = self.t._row_bytes[v]
+            full, part = br * rb, rem * rb
+            rpb, wpb = self.read_pb[v, :, 0], self.write_pb[v, :, 0]
+            rs, ws = self.read_seek[:, 0], self.write_seek[:, 0]
+            key = np.where(self.ooc[:, v], n_full, 0)
+            starts = np.cumsum(np.bincount(key)[:-1]).tolist()
+            return (br, rem, np.argsort(key), starts, rs + full * rpb,
+                    rs + part * rpb, ws + full * wpb, ws + part * wpb)
+
+        return self._cached(("blocks", v), build)
+
+    def _walk(self, total, order, starts, terms, first: int = 0):
+        """``total`` plus ``terms`` once per full block ``k >= first``
+        on the lanes that have block ``k``, in lane order."""
+        walked = total[order]
+        terms = [t[order] for t in terms]
+        for start in starts[first:]:
+            seg = walked[start:]
+            for t in terms:
+                seg += t[start:]
+        out = np.empty(self.L)
+        out[order] = walked
+        return out
+
+    def _stream(self, v: int, read: bool, write: bool) -> np.ndarray:
+        """:meth:`StageTimeModel._stream_seconds`: per block, the read
+        then the write, in block order."""
+        def build():
+            (_, rem, order, starts,
+             r_full, r_part, w_full, w_part) = self._blocks(v)
+            total = self._walk(
+                np.zeros(self.L), order, starts,
+                [t for t, on in ((r_full, read), (w_full, write)) if on],
+            )
+            for t, on in ((r_part, read), (w_part, write)):
+                if on:
+                    total += np.where(rem > 0, t, 0.0)
+            return total[:, None]
+
+        return self._cached(("stream", v, read, write), build)
+
+    def _loop(self, v: int, tile_compute, write_back: bool) -> np.ndarray:
+        """:meth:`StageTimeModel._prefetch_loop_seconds`: a cold first
+        read, then per later block the prefetched read (issue overhead
+        plus what the previous full block's compute share fails to
+        hide) and the previous block's write-back, then the last
+        block's write-back.  With one block this is the synchronous
+        stream, as in the scalar loop.  A whole local array holds at
+        least one full block, so the first read is a full one."""
+        (br, rem, order, starts,
+         r_full, r_part, w_full, w_part) = self._blocks(v)
+        issue = self.t._issue
+        share = tile_compute[:, 0] * br / self.safe_rows[:, 0]
+        terms = [issue + np.maximum(0.0, r_full - share)]
+        if write_back:
+            terms.append(w_full)
+        total = self._walk(r_full, order, starts, terms, first=1)
+        # A partial last block, prefetched behind the full ones.
+        has = rem > 0
+        total += np.where(has, issue + np.maximum(0.0, r_part - share), 0.0)
+        if write_back:
+            total += np.where(has, w_full, 0.0)
+            total += np.where(has, w_part, w_full)
+        return total[:, None]
+
+    # -- multi-tile: closed forms over (lanes, tiles) -------------------
+    #
+    # Every block of a tile is full-sized except possibly the last, so
+    # a tile's streaming loop collapses to a closed form in its number
+    # of full blocks and its remainder.
+
+    def _closed_seconds(self, v: int, tile_rows):
+        """Per tile: block rows, full blocks (and as floats), whether a
+        partial block follows, and full/partial read and write seconds."""
+        def build():
+            br = self.block[:, v][:, None]
+            n_full = tile_rows // br
+            rem = tile_rows - n_full * br
+            rb = self.t._row_bytes[v]
+            rpb, wpb = self.read_pb[v], self.write_pb[v]
+            rs, ws = self.read_seek, self.write_seek
+            return (br, n_full, n_full.astype(np.float64), rem > 0,
+                    rs + (br * rb) * rpb, rs + (rem * rb) * rpb,
+                    ws + (br * rb) * wpb, ws + (rem * rb) * wpb)
+
+        return self._cached(("closed", v, tile_rows.shape[1]), build)
+
+    def _closed_stream(self, v: int, tile_rows, read: bool, write: bool
+                       ) -> np.ndarray:
+        """Closed form of :meth:`StageTimeModel._stream_seconds` over
+        every tile: ``n_full`` full blocks plus an optional partial one."""
+        (_, _, n_full_f, has_rem,
+         r_full, r_part, w_full, w_part) = self._closed_seconds(v, tile_rows)
+        total = np.zeros(tile_rows.shape)
         if read:
-            pb = self._read_pb(node, name)
-            full = disk.read_seek + (block * row_bytes) * pb
-            partial = disk.read_seek + (rem * row_bytes) * pb
-            total = total + (n_full_f * full + has_rem * partial)
+            total = total + (n_full_f * r_full + has_rem * r_part)
         if write:
-            pb = self._write_pb(node, name)
-            full = disk.write_seek + (block * row_bytes) * pb
-            partial = disk.write_seek + (rem * row_bytes) * pb
-            total = total + (n_full_f * full + has_rem * partial)
+            total = total + (n_full_f * w_full + has_rem * w_part)
         return total
 
-    def _prefetch_loop_seconds_array(
-        self, node, name, plan, tile_rows: np.ndarray,
-        tile_compute: np.ndarray, write_back: bool,
-    ) -> np.ndarray:
-        """Closed form of :meth:`_prefetch_loop_seconds` over all tiles.
-
-        With ``K`` blocks (all full-sized except possibly the last), the
-        unrolled loop is: one cold read, ``K - 2`` full reads each
-        overlapped by a full block's computation share, one last read
-        (full or partial) overlapped the same way, plus synchronous
-        write-backs of every block.  Tiles streaming a single block fall
-        back to the synchronous form, exactly like the scalar path.
-        """
-        block, n_full, rem = self._block_split(plan.placements[name], tile_rows)
-        row_bytes = self._program.variable(name).row_bytes
-        disk = self._inputs.micro.disks[node]
-        rpb = self._read_pb(node, name)
-        has_rem = rem > 0
-        n_blocks = n_full + has_rem
-        read_full = disk.read_seek + (block * row_bytes) * rpb
-        read_partial = disk.read_seek + (rem * row_bytes) * rpb
+    def _closed_loop(self, v: int, tile_rows, tile_compute,
+                     write_back: bool) -> np.ndarray:
+        """Closed form of the prefetch loop over every tile: one cold
+        read, ``K - 2`` full reads each overlapped by a full block's
+        compute share, one last read (full or partial) overlapped the
+        same way, plus synchronous write-backs of every block.  Tiles
+        streaming one block take the synchronous form."""
+        (br, n_full, n_full_f, has_rem,
+         r_full, r_part, w_full, w_part) = self._closed_seconds(v, tile_rows)
         safe_rows = np.where(tile_rows > 0, tile_rows, 1)
-        share_full = tile_compute * block / safe_rows
-        issue = self._issue_overhead
-        hidden_full = np.maximum(0.0, read_full - share_full)
-        hidden_last = np.maximum(0.0, read_partial - share_full)
+        share_full = tile_compute * br / safe_rows
+        issue = self.t._issue
+        hidden_full = np.maximum(0.0, r_full - share_full)
+        hidden_last = np.maximum(0.0, r_part - share_full)
         n_mid = np.maximum(n_full - 1, 0).astype(np.float64)
         prefetched = (
-            read_full
+            r_full
             + n_mid * (issue + hidden_full)
             + has_rem * (issue + hidden_last)
         )
         if write_back:
-            wpb = self._write_pb(node, name)
-            write_full = disk.write_seek + (block * row_bytes) * wpb
-            write_partial = disk.write_seek + (rem * row_bytes) * wpb
-            prefetched = prefetched + (
-                n_full.astype(np.float64) * write_full
-                + has_rem * write_partial
-            )
-        sync = self._stream_seconds_array(
-            node, name, plan, tile_rows, read=True, write=write_back
-        )
-        return np.where(n_blocks >= 2, prefetched, sync)
+            prefetched = prefetched + (n_full_f * w_full + has_rem * w_part)
+        sync = self._closed_stream(v, tile_rows, True, write_back)
+        return np.where(n_full + has_rem >= 2, prefetched, sync)

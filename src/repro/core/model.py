@@ -15,13 +15,15 @@ Two evaluation kernels produce those clocks:
   written so the fast path always has a bit-stable baseline to be
   checked against.
 * ``kernel="plan"`` (default) — the model's compiled
-  :class:`~repro.core.plan.EvaluationPlan`: each node's tiles x stages
-  become closed-form array expressions
-  (:meth:`StageTimeModel.section_tile_times`) in a flat row store, the
-  sections fold into max-plus iteration matrices, and one vectorised
-  steady-state walk scores single candidates and whole populations
-  alike.  It agrees with the scalar reference to rounding (<= 1e-12
-  relative, pinned by the golden equivalence suites in
+  :class:`~repro.core.plan.EvaluationPlan`: the ``(node, rows)`` stage
+  tables a batch misses are built in one numpy pass across nodes
+  (:class:`~repro.core.io_model.LaneStageTables`) into a flat row
+  store, the sections fold into max-plus iteration matrices, and one
+  vectorised steady-state walk scores single candidates and whole
+  populations alike.  Its tables equal :meth:`MhetaModel._node_tables`
+  bitwise except in multi-tile sections (``tests/test_lane_fill.py``),
+  and its predictions agree with the scalar reference to rounding
+  (<= 1e-12 relative, pinned by the golden equivalence suites in
   ``tests/test_kernel_equivalence.py`` and
   ``tests/test_batch_equivalence.py``).
 
@@ -31,9 +33,10 @@ reference walk on either kernel; each iteration-profile fallback of a
 plan model is counted as ``model/scalar_fallbacks``.
 
 The per-node stage tables depend only on ``(node, rows)`` — not on what
-the *other* nodes were assigned — so a bounded LRU inside the model
-reuses them across *every* prediction: a hill-climb move changes two
-nodes' row counts, so P-2 nodes hit the cache even through
+the *other* nodes were assigned — so each is built once per model and
+reused across *every* prediction: a hill-climb move changes two nodes'
+row counts, so P-2 nodes hit the plan's row store (or, for the scalar
+reference walk, a bounded LRU inside the model) even through
 single-candidate :meth:`predict` calls.
 
 The model deliberately knows nothing about relative CPU powers, disk
@@ -168,53 +171,6 @@ def _source_read(
     return 0.0
 
 
-def _node_tables_numpy(
-    stage_model: StageTimeModel,
-    sections: Sequence[ParallelSection],
-    offsets: Sequence[int],
-    n: int,
-    rows: int,
-    plan,
-):
-    """One node's stage tables as arrays — what the compiled plan's row
-    store is filled from: one array kernel call per section instead of
-    the reference path's tiles x stages Python loops.  Sections are
-    packed along one flat tile axis (section ``si`` owns columns
-    ``offsets[si]:offsets[si + 1]``).
-
-    Single-tile sections go through the scalar per-stage accumulation:
-    the closed-form array kernel only amortises its call overhead across
-    many tiles, and the scalar path is exact against the reference by
-    construction.
-    """
-    totals = np.empty(offsets[-1])
-    computes = np.empty(offsets[-1])
-    source_read = np.empty(len(sections))
-    for si, section in enumerate(sections):
-        lo, hi = offsets[si], offsets[si + 1]
-        if section.tiles == 1:
-            c_sum = 0.0
-            t_sum = 0.0
-            for stage in section.stages:
-                st = stage_model.tile_stage_times(
-                    n, rows, section, stage, rows, plan
-                )
-                c_sum += st.compute_seconds
-                t_sum += st.total
-            totals[lo] = t_sum
-            computes[lo] = c_sum
-        else:
-            t, c = stage_model.section_tile_times(n, rows, section, plan)
-            totals[lo:hi] = t
-            computes[lo:hi] = c
-        source_read[si] = _source_read(stage_model, n, section, plan)
-    # Cached entries are shared across predictions; freeze them.
-    totals.setflags(write=False)
-    computes.setflags(write=False)
-    source_read.setflags(write=False)
-    return (totals, computes, source_read)
-
-
 @dataclass(frozen=True)
 class _SectionTables:
     """Precomputed per-section evaluation tables for one distribution
@@ -240,10 +196,11 @@ class MhetaModel:
         ``"plan"`` (the compiled evaluation plan, default) or
         ``"scalar"`` (the reference implementation).
     table_cache:
-        Bound of the persistent ``(node, rows) -> tables`` LRU shared by
-        every prediction this model makes.  ``0`` disables cross-call
-        reuse (each ``predict(batch="serial")`` call still shares a
-        transient bounded memo).
+        Bound of the persistent ``(node, rows) -> tables`` LRU that
+        every scalar-reference walk this model makes shares (the
+        compiled plan keeps its own row store).  ``0`` disables
+        cross-call reuse (each ``predict(batch="serial")`` call still
+        shares a transient bounded memo).
     """
 
     def __init__(
@@ -283,8 +240,8 @@ class MhetaModel:
         self._tables_cache: Optional[LRUCache] = (
             LRUCache(table_cache) if table_cache > 0 else None
         )
-        # Tile-axis layout of the flattened per-node array tables
-        # (_node_tables_numpy): section ``si`` owns columns
+        # Tile-axis layout of the plan's batched stage tables
+        # (LaneStageTables): section ``si`` owns columns
         # ``offsets[si]:offsets[si + 1]``.
         tiles = [s.tiles for s in program.sections]
         self._tile_offsets = [0]
@@ -302,11 +259,20 @@ class MhetaModel:
 
     @property
     def table_cache_stats(self) -> dict:
-        """Hit/miss/eviction counters of the persistent table cache."""
-        if self._tables_cache is None:
-            return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0,
-                    "evictions": 0}
-        return self._tables_cache.stats
+        """Counters of the per-``(node, rows)`` tables: the scalar
+        reference's LRU plus the compiled plan's row store, whose
+        ``misses`` are the rows it built and ``hits`` the lanes it
+        served without a build."""
+        stats = dict.fromkeys(("size", "maxsize", "hits", "misses",
+                               "evictions"), 0)
+        if self._tables_cache is not None:
+            stats = self._tables_cache.stats
+        if self._plan is not None:
+            built = self._plan.stats["store_rows"]
+            stats["size"] += built
+            stats["hits"] += self._plan.lanes - built
+            stats["misses"] += built
+        return stats
 
     # -- compiled evaluation plan -----------------------------------------------
 
@@ -530,8 +496,7 @@ class MhetaModel:
         same for every iteration, so the iteration loop only replays the
         communication timeline.  Per-``(node, rows)`` work is memoised
         in the model's bounded LRU (or the explicit ``table_cache``
-        override), shared across every prediction; the entries are keyed
-        apart from the plan's array tables for the same ``(node, rows)``."""
+        override), shared across every prediction."""
         P = self.n_nodes
         cache = table_cache if table_cache is not None else self._tables_cache
         counts = distribution.counts
@@ -543,7 +508,7 @@ class MhetaModel:
                     self._node_tables(n, rows, self.oracle.plan(n, rows))
                 )
             else:
-                key = ("scalar", n, rows)
+                key = (n, rows)
                 entry = cache.get(key)
                 if entry is None:
                     entry = self._node_tables(

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.distribution.genblock import GenBlock
 from repro.exceptions import ModelError
-from repro.placement import MemoryPlan, plan_memory
+from repro.placement import LanePlanner, MemoryPlan, plan_memory
 from repro.program.structure import ProgramStructure
 from repro.util.lru import LRUCache
 
@@ -52,6 +51,9 @@ class OutOfCoreOracle:
             raise ModelError("oracle needs at least one node's memory size")
         self._program = program
         self._memory = [int(m) for m in memory_bytes]
+        #: :meth:`plan` for many ``(node, rows)`` lanes in one pass
+        #: (the compiled plan's batched fill), equal to it lane by lane.
+        self.plan_lanes = LanePlanner(program, self._memory)
         self._cache = LRUCache(cache_entries)
 
     @property
@@ -68,14 +70,6 @@ class OutOfCoreOracle:
             plan = plan_memory(self._program, rows, self._memory[node])
             self._cache.put(key, plan)
         return plan
-
-    def plans(self, distribution: GenBlock) -> list:
-        """Placements for every node under ``distribution``."""
-        if distribution.n_nodes != self.n_nodes:
-            raise ModelError(
-                "distribution node count does not match the oracle's"
-            )
-        return [self.plan(n, distribution[n]) for n in range(self.n_nodes)]
 
     def is_out_of_core(self, node: int, rows: int, variable: str) -> bool:
         """The heuristic's verdict for one variable."""

@@ -10,11 +10,14 @@ with one gather, a few array builds and one steady-state walk:
    total, nearest-neighbour sections store the three *pre-baked* band
    values (diag / from-left / from-right contributions of that node to
    the exchange's tridiagonal max-plus matrix), pipeline sections store
-   the full per-tile table.  A dense ``(P, n_rows + 1)`` index map turns
-   a whole ``(B, P)`` candidate matrix into one fancy gather; misses are
-   built by the closed-form array tables
-   (:func:`repro.core.model._node_tables_numpy`) through the model's
-   table LRU.
+   the full per-tile table.  A dense index over the keys ``node *
+   (n_rows + 1) + rows`` turns a whole ``(B, P)`` candidate matrix into
+   one gather.  The distinct ``(node, rows)`` pairs a batch misses are
+   built in one numpy pass across nodes — the oracle's placement for
+   every lane (:class:`repro.placement.LanePlanner`), then every
+   section's stage tables (:class:`repro.core.io_model.LaneStageTables`)
+   — and their rows and index entries written at once.  A key is built
+   at most once, so the store is bounded by ``P * (n_rows + 1)`` rows.
 2. **Lowering** — consecutive sections fold at compile time through a
    small state machine (diagonal / tridiagonal-band / dense-plus-rank-1
    / materialized matrix): diagonal sections fold for free into their
@@ -31,8 +34,8 @@ with one gather, a few array builds and one steady-state walk:
    walk loop.
 
 Each model owns its plan (:meth:`MhetaModel.ensure_plan`).  The plan
-keeps what it reads — the oracle, the stage model, the table LRU — and
-no reference back to the model, so a model and its plan are freed by
+keeps what it reads — the oracle and its compiled lane tables — and no
+reference back to the model, so a model and its plan are freed by
 refcount as soon as the caller drops the model.  A compile costs about a
 millisecond, so equal models do not share plans.  :func:`compile_plan`
 counts every compile (evaluation and emulation plans) for
@@ -48,24 +51,18 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model import _node_tables_numpy
+from repro.core.io_model import LaneStageTables
 from repro.exceptions import ModelError
 from repro.obs import Recorder
 from repro.program.sections import CommPattern
 
 __all__ = [
     "EvaluationPlan",
-    "MAX_STORE_ROWS",
     "compile_plan",
     "plan_cache_stats",
     "record_plan_gauges",
     "reset_plan_cache",
 ]
-
-#: Table-store row bound per plan.  A store row is a handful of floats;
-#: when a very long sweep exceeds the bound the store resets rather than
-#: grow without limit (the model's table LRU keeps the warmth).
-MAX_STORE_ROWS = 1 << 16
 
 #: Dense-index entry bound: above this the (P, n_rows + 1) map would be
 #: unreasonably large and a dict index is used instead.
@@ -141,6 +138,22 @@ def _colsum(g: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     return v
 
 
+class _Scratch(dict):
+    """One batch size's scratch buffers, each built on first use (a plan
+    registers buffers for lowering variants it may never run)."""
+
+    __slots__ = ("_factories", "_B")
+
+    def __init__(self, factories: List[Callable], B: int) -> None:
+        super().__init__()
+        self._factories = factories
+        self._B = B
+
+    def __missing__(self, i: int) -> object:
+        buf = self[i] = self._factories[i](self._B)
+        return buf
+
+
 class EvaluationPlan:
     """A compiled evaluator for one model's (app structure, cluster
     shape) pair.
@@ -165,17 +178,17 @@ class EvaluationPlan:
         self._timeline = model.timeline
         self._micro = model.inputs.micro
         self._oracle = model.oracle
-        self._stage_model = model.stage_model
-        self._tables_cache = model._tables_cache
         self.P = model.n_nodes
         self.n_rows = model.program.n_rows
         self.executes = 0
-        self.store_resets = 0
+        #: ``(node, rows)`` lanes looked up (store rows are the builds).
+        self.lanes = 0
         # -- store layout ----------------------------------------------
         sections = model.program.sections
         offsets = model._tile_offsets
-        self._sections = sections
-        self._offsets = offsets
+        self._lane_tables = LaneStageTables(
+            model.stage_model, sections, offsets
+        )
         self._col_specs: List[tuple] = []
         col = 0
         kinds: List[int] = []
@@ -205,11 +218,14 @@ class EvaluationPlan:
         self.n_cols = col
         self._nn_consts = self._bake_nn_constants(sections, kinds)
         # -- store -----------------------------------------------------
-        self._nodes = np.arange(self.P)
+        # Node ``n`` owning ``rows`` rows is store key ``n * (n_rows +
+        # 1) + rows``: a flat index over every key, or a dict of the
+        # keys built when that would be too large.
+        self._key_base = np.arange(self.P) * (self.n_rows + 1)
         index_entries = self.P * (self.n_rows + 1)
         if index_entries <= _MAX_DENSE_INDEX:
             self._index: Optional[np.ndarray] = np.full(
-                (self.P, self.n_rows + 1), -1, dtype=np.int32
+                index_entries, -1, dtype=np.int32
             )
             self._index_dict: Optional[dict] = None
         else:
@@ -322,13 +338,12 @@ class EvaluationPlan:
         self._buf_factories.append(factory)
         return len(self._buf_factories) - 1
 
-    def _ctx(self, B: int) -> list:
+    def _ctx(self, B: int) -> "_Scratch":
         ctx = self._ctx_cache.get(B)
         if ctx is None:
             if len(self._ctx_cache) >= 8:
                 self._ctx_cache.clear()
-            ctx = [f(B) for f in self._buf_factories]
-            self._ctx_cache[B] = ctx
+            ctx = self._ctx_cache[B] = _Scratch(self._buf_factories, B)
         return ctx
 
     def _neginf_buf(self) -> int:
@@ -687,10 +702,6 @@ class EvaluationPlan:
         # copies, and pre-register the band work buffers with both
         # broadcast views (row-major and transposed): the hot build is
         # then six out= ufunc calls.
-        base3 = np.ascontiguousarray(base[None, :, :])
-        base_sup = np.ascontiguousarray(base[None, :, 1:])
-        base_sub = np.ascontiguousarray(base[None, :, : P - 1])
-
         def _wband(width: int) -> int:
             def f(B: int, width: int = width) -> tuple:
                 w = np.empty((B, width))
@@ -702,33 +713,41 @@ class EvaluationPlan:
         w1wbuf = _wband(P - 1)
         w2wbuf = _wband(P - 1)
 
-        def _sup(B: int, P: int = P) -> tuple:
-            t = np.full((B, P, P), -np.inf)
-            return t, t[:, :, : P - 1]
+        def make(out_buf, bases, view, edge, edges_of):
+            """One layout's build: ``bases`` are the base matrix's three
+            alignments, ``view`` picks the band buffers' broadcast view,
+            and ``edges_of(M)`` the columns ``:P-1`` and ``1:`` the two
+            off-diagonal terms reach (max with the -inf elsewhere is the
+            identity, so their scratch ``edge`` holds just those)."""
+            b3, bsup, bsub = (np.ascontiguousarray(x) for x in bases)
+            t1buf = self._register_buf(edge)
+            t2buf = self._register_buf(edge)
 
-        def _sub(B: int, P: int = P) -> tuple:
-            t = np.full((B, P, P), -np.inf)
-            return t, t[:, :, 1:]
+            def build(g, ctx):
+                M = ctx[out_buf]
+                t1 = ctx[t1buf]
+                t2 = ctx[t2buf]
+                w0 = ctx[w0buf]
+                w1 = ctx[w1wbuf]
+                w2 = ctx[w2wbuf]
+                ts = g[:, :, ts_col]
+                np.add(ts, _band(g, dterms, P), out=w0[0])
+                np.add(ts[:, 1:], _band(g, lterms, P - 1), out=w1[0])
+                np.add(ts[:, : P - 1], _band(g, rterms, P - 1), out=w2[0])
+                np.add(b3, w0[view], out=M)
+                np.add(bsup, w1[view], out=t1)
+                np.add(bsub, w2[view], out=t2)
+                left, right = edges_of(M)
+                np.maximum(left, t1, out=left)
+                np.maximum(right, t2, out=right)
 
-        w1buf = self._register_buf(_sup)
-        w2buf = self._register_buf(_sub)
+            return build
 
-        def build(g, ctx):
-            M = ctx[buf]
-            t1, t1s = ctx[w1buf]
-            t2, t2s = ctx[w2buf]
-            w0 = ctx[w0buf]
-            w1 = ctx[w1wbuf]
-            w2 = ctx[w2wbuf]
-            ts = g[:, :, ts_col]
-            np.add(ts, _band(g, dterms, P), out=w0[0])
-            np.add(ts[:, 1:], _band(g, lterms, P - 1), out=w1[0])
-            np.add(ts[:, : P - 1], _band(g, rterms, P - 1), out=w2[0])
-            np.add(base3, w0[1], out=M)
-            np.add(base_sup, w1[1], out=t1s)
-            np.add(base_sub, w2[1], out=t2s)
-            np.maximum(M, t1, out=M)
-            np.maximum(M, t2, out=M)
+        build = make(
+            buf, (base[None, :, :], base[None, :, 1:], base[None, :, : P - 1]),
+            1, lambda B, P=P: np.empty((B, P, P - 1)),
+            lambda M: (M[:, :, : P - 1], M[:, :, 1:]),
+        )
 
         def make_transposed(mt_buf: int) -> Callable:
             """Specialized variant writing the walk's ``(P, B, P)``
@@ -737,39 +756,13 @@ class EvaluationPlan:
             Values are identical element for element (the same three
             pairwise maxima of the same sums), only the layout differs.
             """
-            baseT3 = np.ascontiguousarray(base.T[:, None, :])
-            base_supT = np.ascontiguousarray(base.T[1:, None, :])
-            base_subT = np.ascontiguousarray(base.T[: P - 1, None, :])
-
-            def _edge(drop_last: bool):
-                def f(B: int, P: int = P, drop_last: bool = drop_last
-                      ) -> tuple:
-                    t = np.full((P, B, P), -np.inf)
-                    return t, (t[: P - 1] if drop_last else t[1:])
-
-                return self._register_buf(f)
-
-            t1tbuf = _edge(True)
-            t2tbuf = _edge(False)
-
-            def build_t(g, ctx):
-                MT = ctx[mt_buf]
-                t1, t1s = ctx[t1tbuf]
-                t2, t2s = ctx[t2tbuf]
-                w0 = ctx[w0buf]
-                w1 = ctx[w1wbuf]
-                w2 = ctx[w2wbuf]
-                ts = g[:, :, ts_col]
-                np.add(ts, _band(g, dterms, P), out=w0[0])
-                np.add(ts[:, 1:], _band(g, lterms, P - 1), out=w1[0])
-                np.add(ts[:, : P - 1], _band(g, rterms, P - 1), out=w2[0])
-                np.add(baseT3, w0[2], out=MT)
-                np.add(base_supT, w1[2], out=t1s)
-                np.add(base_subT, w2[2], out=t2s)
-                np.maximum(MT, t1, out=MT)
-                np.maximum(MT, t2, out=MT)
-
-            return build_t
+            return make(
+                mt_buf,
+                (base.T[:, None, :], base.T[1:, None, :],
+                 base.T[: P - 1, None, :]),
+                2, lambda B, P=P: np.empty((P - 1, B, P)),
+                lambda MT: (MT[: P - 1], MT[1:]),
+            )
 
         self._fuse_transposed = make_transposed
         return build
@@ -792,77 +785,62 @@ class EvaluationPlan:
     # -- table store ----------------------------------------------------
 
     def _lookup(self, counts: np.ndarray) -> np.ndarray:
+        keys = self._key_base + counts
         if self._index is not None:
-            return self._index[self._nodes, counts]
-        idx = np.empty(counts.shape, dtype=np.int64)
+            return self._index.take(keys)
         get = self._index_dict.get
-        B, P = counts.shape
-        for b in range(B):
-            row = counts[b]
-            for n in range(P):
-                idx[b, n] = get((n, int(row[n])), -1)
-        return idx
+        return np.array(
+            [get(k, -1) for k in keys.ravel().tolist()], dtype=np.int64
+        ).reshape(counts.shape)
 
     def _fill_missing(self, counts: np.ndarray, idx: np.ndarray) -> None:
-        cache = self._tables_cache
-        for b, n in np.argwhere(idx < 0):
-            n = int(n)
-            rows = int(counts[b, n])
-            if self._index is not None:
-                if self._index[n, rows] >= 0:
-                    continue
-            elif (n, rows) in self._index_dict:
-                continue
-            entry = cache.get((n, rows)) if cache is not None else None
-            if entry is None:
-                entry = _node_tables_numpy(
-                    self._stage_model, self._sections, self._offsets,
-                    n, rows, self._oracle.plan(n, rows),
-                )
-                if cache is not None:
-                    cache.put((n, rows), entry)
-            self._insert(n, rows, entry)
-
-    def _insert(self, n: int, rows: int, entry) -> None:
-        if self._used >= MAX_STORE_ROWS:
-            # Reset rather than grow without bound; the model's table
-            # LRU keeps the expensive closed-form work warm.
-            if self._index is not None:
-                self._index.fill(-1)
-            else:
-                self._index_dict.clear()
-            self._used = 0
-            self.store_resets += 1
-        if self._used == self._data.shape[0]:
-            grown = np.empty(
-                (min(self._data.shape[0] * 2, MAX_STORE_ROWS), self.n_cols)
-            )
-            grown[: self._used] = self._data[: self._used]
+        """Build the store rows of every distinct missed ``(node, rows)``
+        lane of ``counts`` in one pass (oracle placement, then stage
+        tables, then the baked band values) and index them."""
+        if self._lane_tables.error:
+            raise ModelError(self._lane_tables.error)
+        keys = (self._key_base + counts)[idx < 0]
+        if self._index is not None:
+            # Mark each missed entry with a lane number: the lane whose
+            # mark survives stands for its key, so repeats within the
+            # batch are built once.
+            lanes = np.arange(len(keys), dtype=np.int32)
+            self._index[keys] = lanes
+            keys = keys[self._index[keys] == lanes]
+        else:
+            keys = np.unique(keys)
+        nodes, rows = np.divmod(keys, self.n_rows + 1)
+        totals, source = self._lane_tables(
+            nodes, rows, self._oracle.plan_lanes(nodes, rows)
+        )
+        start, stop = self._used, self._used + len(keys)
+        if stop > self._data.shape[0]:
+            grown = np.empty((max(2 * self._data.shape[0], stop), self.n_cols))
+            grown[:start] = self._data[:start]
             self._data = grown
-        totals, _computes, source = entry
-        vec = self._data[self._used]
+        vec = self._data[start:stop]
         for kind, si, lo, hi, c0 in self._col_specs:
             if kind == _TRI:
                 consts = self._nn_consts[si]
-                ts = totals[lo]
-                post = source[si] + consts["os"]
-                local = ts + consts["post_mult"][n] * post
-                vec[c0] = local + consts["or12"][n]
-                vec[c0 + 1] = local + consts["left_add"][n]
-                vec[c0 + 2] = (ts + post) + consts["right_add"]
+                ts = totals[:, lo]
+                post = source[:, si] + consts["os"]
+                local = ts + consts["post_mult"][nodes] * post
+                vec[:, c0] = local + consts["or12"][nodes]
+                vec[:, c0 + 1] = local + consts["left_add"][nodes]
+                vec[:, c0 + 2] = (ts + post) + consts["right_add"]
             elif kind == _PIPE:
-                vec[c0:c0 + (hi - lo)] = totals[lo:hi]
+                vec[:, c0:c0 + (hi - lo)] = totals[:, lo:hi]
             elif hi - lo == 1:
-                vec[c0] = totals[lo]
+                vec[:, c0] = totals[:, lo]
             else:
                 # P == 1 pipeline folded to a diagonal: section total is
                 # the tile sum.
-                vec[c0] = totals[lo:hi].sum()
+                vec[:, c0] = totals[:, lo:hi].sum(axis=1)
         if self._index is not None:
-            self._index[n, rows] = self._used
+            self._index[keys] = np.arange(start, stop)
         else:
-            self._index_dict[(n, rows)] = self._used
-        self._used += 1
+            self._index_dict.update(zip(keys.tolist(), range(start, stop)))
+        self._used = stop
 
     # -- execution ------------------------------------------------------
 
@@ -871,6 +849,7 @@ class EvaluationPlan:
         the ``(B,)`` predicted totals (slowest node per candidate)."""
         B = counts.shape[0]
         self.executes += 1
+        self.lanes += counts.size
         key = counts.tobytes()
         g = self._g_memo.get(key)
         if g is None:
@@ -1063,7 +1042,6 @@ class EvaluationPlan:
         return {
             "mode": "matrix" if self._matrix_buf is not None else "ops",
             "store_rows": self._used,
-            "store_resets": self.store_resets,
             "executes": self.executes,
             "columns": self.n_cols,
         }

@@ -37,14 +37,6 @@ class RobustnessResult:
     mean_error: Dict[float, float]
     max_error: Dict[float, float]
 
-    @property
-    def dedicated_error(self) -> float:
-        return self.mean_error[min(self.mean_error)]
-
-    @property
-    def worst_error(self) -> float:
-        return max(self.mean_error.values())
-
     def describe(self) -> str:
         rows = [
             [f"{load:.0%}", self.mean_error[load], self.max_error[load]]

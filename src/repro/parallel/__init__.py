@@ -12,10 +12,7 @@ parallel.  This package provides the shared machinery:
 * :class:`RunCache` / :func:`content_key` — content-keyed
   memoisation of emulated runs, in memory and optionally on disk;
 * :func:`verify_distributions` — parallel emulator verification of
-  search winners;
-* :func:`predict_sharded` — shard a large candidate batch
-  across workers, each scoring its slice with the vectorized
-  ``predict(batch=True)`` kernel.
+  search winners.
 
 Determinism: every emulator run seeds its RNG streams from
 ``(cluster, program, distribution, node)`` labels (see
@@ -30,7 +27,6 @@ from repro.parallel.cache import (
     content_key,
     default_run_cache,
 )
-from repro.parallel.predict import predict_2d_sharded, predict_sharded
 from repro.parallel.verify import verify_distributions
 
 __all__ = [
@@ -40,7 +36,5 @@ __all__ = [
     "RunCache",
     "content_key",
     "default_run_cache",
-    "predict_sharded",
-    "predict_2d_sharded",
     "verify_distributions",
 ]

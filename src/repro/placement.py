@@ -24,13 +24,21 @@ their local sizes, giving each its ICLA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.program.structure import ProgramStructure
 from repro.program.variables import Variable
 
-__all__ = ["VariablePlacement", "MemoryPlan", "plan_memory"]
+__all__ = [
+    "VariablePlacement",
+    "MemoryPlan",
+    "LanePlacements",
+    "LanePlanner",
+    "plan_memory",
+]
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,6 @@ class MemoryPlan:
     @property
     def any_out_of_core(self) -> bool:
         return any(not p.in_core for p in self.placements.values())
-
-    @property
-    def out_of_core_bytes(self) -> float:
-        return sum(p.ocla_bytes for p in self.placements.values())
 
     @property
     def resident_bytes(self) -> float:
@@ -236,3 +240,76 @@ def plan_memory(
         available_bytes=available,
         placements=placements,
     )
+
+
+class LanePlacements(NamedTuple):
+    """:class:`LanePlanner`'s ``(lanes, variables)`` arrays (columns in
+    ``program.distributed_variables`` order)."""
+
+    in_core: np.ndarray  #: bool
+    block_rows: np.ndarray  #: int64 rows per ICLA piece
+    rows: np.ndarray  #: ``(lanes, 1)`` int64 local rows
+
+    @property
+    def n_io(self) -> np.ndarray:
+        """int64 disk passes (1 when in core)."""
+        return np.where(self.in_core, 1, -(-self.rows // self.block_rows))
+
+
+class LanePlanner:
+    """:func:`plan_memory` at its defaults (the model's heuristic: size
+    order, pro-rata ICLA shares, no reservations), compiled for one
+    program and one set of node memories, then evaluated for many
+    ``(node, rows)`` lanes at once.
+
+    Local sizes are ``rows * row_bytes``, so every lane with rows sorts
+    the variables alike (stably, by row bytes) and keeps the same tail
+    reserve per greedy step; a zero-row lane is in core whatever the
+    order.  Sizes, memories and reserves are whole byte counts, exact in
+    float64 however summed, and the ICLA share repeats the scalar
+    rule's float operations in order: each lane equals ``plan_memory``.
+    """
+
+    def __init__(self, program: ProgramStructure,
+                 memory_bytes: Sequence[int]) -> None:
+        variables = program.distributed_variables
+        self._order = sorted(
+            range(len(variables)), key=lambda i: variables[i].row_bytes
+        )
+        self._tails = [
+            sum(max(variables[j].row_bytes, 1.0) for j in self._order[i + 1:])
+            for i in range(len(self._order))
+        ]
+        self._row_bytes = np.array([float(v.row_bytes) for v in variables])
+        self._total_row_bytes = float(sum(v.row_bytes for v in variables))
+        self._divisor = np.maximum(self._row_bytes, 1e-12)
+        self._available = np.array([
+            max(0.0, m - program.replicated_bytes - 0.0)
+            for m in memory_bytes
+        ])
+
+    def __call__(self, nodes: np.ndarray, rows: np.ndarray) -> LanePlacements:
+        available = self._available[nodes]
+        rows = rows[:, None]
+        sizes = rows * self._row_bytes
+        in_core = np.empty(sizes.shape, dtype=bool)
+        remaining = available
+        for v, tail in zip(self._order, self._tails):
+            size = sizes[:, v]
+            fit = size <= remaining - tail
+            in_core[:, v] = fit
+            remaining = remaining - np.where(fit, size, 0.0)
+        # What did not fit: all local bytes less those placed in core.
+        ooc_total = (
+            rows[:, 0] * self._total_row_bytes - (available - remaining)
+        )
+        in_core |= sizes == 0.0
+        # Out-of-core ICLA: a pro-rata share of what is left, in whole
+        # rows.
+        share = remaining[:, None] * (
+            sizes / np.where(ooc_total > 0, ooc_total, 1.0)[:, None]
+        )
+        whole = np.floor_divide(share, self._divisor)
+        block = np.where(in_core, np.maximum(rows, 1),
+                         np.clip(whole, 1, rows).astype(np.int64))
+        return LanePlacements(in_core, block, rows)

@@ -111,10 +111,6 @@ class RunResult:
     #: steady-state cycle instead of simulated event by event.
     fast_forwarded: bool = False
 
-    @property
-    def mean_iteration_seconds(self) -> float:
-        return self.total_seconds / max(self.iterations, 1)
-
     def iteration_durations(self, node: int) -> List[float]:
         """Per-iteration durations for ``node``."""
         ends = self.iteration_ends[node]

@@ -23,8 +23,7 @@ so the full 1-D search machinery can be pointed at 2-D layouts:
   spent only on genuinely two-dimensional candidates.
 
 Telemetry rides along under ``span/search/twod`` with the standard
-``search/*`` counters, and large enumerations can shard across worker
-processes via :func:`repro.parallel.predict_2d_sharded` (``jobs=``).
+``search/*`` counters.
 """
 
 from __future__ import annotations
@@ -321,21 +320,18 @@ class _Budget2D:
     """Cache- and budget-aware population scoring over 2-D layouts: the
     :class:`BudgetedEvaluator`'s batch contract, keyed by (row bands,
     column bands).  Distinct misses are charged and sent through one
-    ``predict(batch=True)`` pass (sharded across workers when ``jobs >
-    1``); repeats are cache hits; the budget is a hard cap enforced by
-    truncating at the first unaffordable miss."""
+    ``predict(batch=True)`` pass; repeats are cache hits; the budget is
+    a hard cap enforced by truncating at the first unaffordable miss."""
 
     def __init__(
         self,
         model: TwoDModel,
         budget: int,
         *,
-        jobs: int = 1,
         telemetry: Optional[Recorder] = None,
     ):
         self._model = model
         self._budget = budget
-        self._jobs = jobs
         self._rec = as_recorder(telemetry)
         self.cache: Dict[Tuple, float] = {}
         self.hits = 0
@@ -371,14 +367,7 @@ class _Budget2D:
                 "search/round_distinct_misses", len(to_evaluate)
             )
         if to_evaluate:
-            if self._jobs > 1:
-                from repro.parallel import predict_2d_sharded
-
-                values = predict_2d_sharded(
-                    self._model, to_evaluate, self._jobs
-                )
-            else:
-                values = self._model.predict(to_evaluate, batch=True)
+            values = self._model.predict(to_evaluate, batch=True)
             for d, v in zip(to_evaluate, values):
                 v = float(v)
                 self.cache[self._key(d)] = v
@@ -434,7 +423,6 @@ class TwoDGbs:
         steps_per_leg: int = 8,
         batch_size: int = 64,
         seed_label: str = "",
-        jobs: int = 1,
     ) -> None:
         self.model = model
         self.rounds = rounds
@@ -447,7 +435,6 @@ class TwoDGbs:
         self.steps_per_leg = steps_per_leg
         self.batch_size = batch_size
         self._seed_label = seed_label or self.name
-        self.jobs = jobs
 
     # -- axis refinement ---------------------------------------------------
 
@@ -516,19 +503,13 @@ class TwoDGbs:
         if budget < 1:
             raise SearchError("budget must be >= 1")
         rec = as_recorder(telemetry)
-        evaluate = _Budget2D(
-            self.model, budget, jobs=self.jobs, telemetry=rec
-        )
+        evaluate = _Budget2D(self.model, budget, telemetry=rec)
         per_shape: Dict[Tuple[int, int], float] = {}
         with rec.span("search/twod"):
             for shape in self.shapes:
                 if is_degenerate(shape):
                     value = _score_strips(
-                        self.model,
-                        shape,
-                        evaluate,
-                        self.steps_per_leg,
-                        self.jobs,
+                        self.model, shape, evaluate, self.steps_per_leg
                     )
                     per_shape[shape] = value
                     continue
@@ -576,7 +557,6 @@ def _score_strips(
     shape: Tuple[int, int],
     evaluate: _Budget2D,
     steps_per_leg: int,
-    jobs: int,
 ) -> float:
     """Score a degenerate shape's 1-D spectrum path outside the 2-D move
     budget (the candidates still land in the shared cache and best)."""
@@ -638,7 +618,6 @@ class TwoDLayoutSearch:
         steps_per_leg: int = 8,
         batch_size: int = 64,
         seed_label: str = "",
-        jobs: int = 1,
         **knobs,
     ) -> None:
         if algorithm not in SEARCHER_2D_FAMILIES:
@@ -656,7 +635,6 @@ class TwoDLayoutSearch:
         self.steps_per_leg = steps_per_leg
         self.batch_size = batch_size
         self._seed_label = seed_label or f"twod-{algorithm}"
-        self.jobs = jobs
         self.knobs = knobs
 
     def search(
@@ -681,14 +659,7 @@ class TwoDLayoutSearch:
                 candidates = strip_candidates(
                     self.model, shape, self.steps_per_leg
                 )
-                if self.jobs > 1:
-                    from repro.parallel import predict_2d_sharded
-
-                    values = predict_2d_sharded(
-                        self.model, candidates, self.jobs
-                    )
-                else:
-                    values = self.model.predict(candidates, batch=True)
+                values = self.model.predict(candidates, batch=True)
                 evaluations += len(candidates)
                 i = int(np.argmin(values))
                 per_shape[shape] = float(values[i])

@@ -237,20 +237,3 @@ def test_random_batches_agree(batch, cluster_name):
     _assert_batch_matches_sequential(model, cands)
 
 
-# -- sharded fan-out ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_sharded_prediction_matches_serial(kernel):
-    """``predict_sharded`` is bit-identical across job counts
-    (plan models recompile their plan in each worker process)."""
-    from repro.parallel import predict_sharded
-
-    cluster = configs.config_hy1()
-    program = JacobiApp.paper(SCALE).structure
-    model = _model(cluster, program, kernel=kernel)
-    cands = _candidates(cluster, program)
-    serial = predict_sharded(model, cands, jobs=1)
-    assert serial == [float(v) for v in model.predict(cands, batch=True)]
-    sharded = predict_sharded(model, cands, jobs=2)
-    assert sharded == serial

@@ -4,12 +4,11 @@ import pytest
 
 from repro.cluster import config_dc, config_io
 from repro.distribution import GenBlock, balanced, block
-from repro.experiments import build_model, fig9_accuracy, run_spectrum
+from repro.experiments import fig9_accuracy, run_spectrum
 from repro.parallel import (
     ParallelRunner,
     RunCache,
     content_key,
-    predict_sharded,
     resolve_jobs,
     split_shards,
     verify_distributions,
@@ -70,19 +69,6 @@ class TestShards:
         for jobs in (1, 3):
             got = ParallelRunner(jobs).map_shards(_square_shard, items)
             assert got == [x * x for x in items]
-
-    def test_sharded_prediction_bit_identical(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        model = build_model(cluster, program)
-        dists = [
-            block(cluster, program.n_rows),
-            balanced(cluster, program.n_rows),
-            block(cluster, program.n_rows).moved(0, 1, 3),
-        ]
-        serial = predict_sharded(model, dists, jobs=1)
-        assert serial == [float(v) for v in model.predict(dists, batch=True)]
-        assert predict_sharded(model, dists, jobs=2) == serial
 
 
 class TestContentKey:

@@ -6,7 +6,7 @@ short sequence of vectorized ops.  These tests pin the behaviours around
 the kernel itself (the golden numerical contract lives in
 ``test_kernel_equivalence.py`` / ``test_batch_equivalence.py``): one
 plan per model, freed with it, compile telemetry, the gather memo, store
-resets and pickling.
+growth and pickling.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def test_plan_stats_shape():
     assert stats["mode"] in ("matrix", "ops")
     assert stats["executes"] >= 1
     assert stats["store_rows"] > 0
-    assert stats["store_resets"] == 0
 
 
 def test_ops_mode_apps_compile_and_run():
@@ -198,16 +197,30 @@ def test_ops_mode_apps_compile_and_run():
     assert (out > 0).all()
 
 
-def test_store_reset_keeps_results(monkeypatch):
-    """Overflowing MAX_STORE_ROWS resets the store; warmth is lost but
-    results are unchanged."""
-    monkeypatch.setattr(planmod, "MAX_STORE_ROWS", 32)
-    model, cands = _setup(steps_per_leg=4)
-    first = model.predict(cands, batch=True)
-    again = model.predict(cands, batch=True)
-    assert (first == again).all()
+def test_dict_index_matches_dense(monkeypatch):
+    """Above the dense-index bound the store keys live in a dict; the
+    fill and lookups through it score exactly as the dense index."""
+    model, cands = _setup()
+    dense = model.predict(cands, batch=True)
+    monkeypatch.setattr(planmod, "_MAX_DENSE_INDEX", 0)
+    model, cands = _setup()
+    assert model.ensure_plan()._index is None
+    assert (model.predict(cands, batch=True) == dense).all()
+    assert [model.predict(d) for d in cands] == dense.tolist()
+
+
+def test_store_growth_keeps_results():
+    """The store grows past its initial capacity across fills, each
+    distinct ``(node, rows)`` is built once, and earlier rows keep
+    their values."""
+    model, cands = _setup(steps_per_leg=12)
+    first = np.array([model.predict(d) for d in cands])
     plan = model.ensure_plan()
-    assert plan.stats["store_resets"] >= 1
+    built = plan.stats["store_rows"]
+    assert built > 64
+    assert (model.predict(cands, batch=True) == first).all()
+    assert plan.stats["store_rows"] == built
+    assert model.table_cache_stats["misses"] == built
 
 
 # -- telemetry ----------------------------------------------------------------

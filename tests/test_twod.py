@@ -322,14 +322,6 @@ class TestTwoDSearch:
             name.startswith("span/search/twod") for name in rec.series
         )
 
-    def test_jobs_do_not_change_answer(self, model):
-        from repro.twod import TwoDGbs
-
-        serial = TwoDGbs(model, shapes=[(2, 4)]).search(budget=150)
-        sharded = TwoDGbs(model, shapes=[(2, 4)], jobs=2).search(budget=150)
-        assert sharded.predicted_seconds == serial.predicted_seconds
-        assert sharded.best == serial.best
-
 
 class TestTwoDFastForward:
     """2-D emulator fast-forward: golden equivalence + 1-D gating rules."""
